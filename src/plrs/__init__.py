@@ -4,9 +4,10 @@ Exact-arithmetic tools for the numeration systems attached to recurrences
 ``H_{n+1} = c_1 H_n + ... + c_L H_{n+1-L}`` (non-negative coefficients,
 ``c_1, c_L > 0``): sequence generation, block catalogs, greedy
 decomposition and legality checking, exhaustive and sampled views of the
-fixed-length outcome spaces, exact summand-count distributions via a
-polynomial dynamic program, and a numerical verifier for the linear
-growth of the summand-count variance.
+fixed-length outcome spaces, exact summand-count moments via a
+raw-moment recurrence and full distributions via a polynomial dynamic
+program, and a numerical verifier for the linear growth of the
+summand-count variance.
 
 Quick start::
 

@@ -146,6 +146,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Config keys whose values must be JSON integers; every other RunConfig key
+# takes a string ("coefficients" also takes a list).
+_INT_KEYS = frozenset({"n", "n_max", "seed", "samples", "cap", "precision_bits", "threads"})
+
+
+def _check_config_types(data: dict) -> None:
+    for key, val in data.items():
+        if val is None or key not in RunConfig.__dataclass_fields__:
+            continue
+        if key in _INT_KEYS:
+            ok, want = isinstance(val, int) and not isinstance(val, bool), "an integer"
+        elif key == "coefficients":
+            ok, want = isinstance(val, (str, list)), "a string or a list"
+        else:
+            ok, want = isinstance(val, str), "a string"
+        if not ok:
+            raise ValueError(
+                f"config key {key!r} must be {want}, got {json.dumps(val)}"
+            )
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     data = {}
     if args.config:
@@ -153,6 +174,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
+        _check_config_types(data)
 
     def pick(cli_value, key, default=None):
         if cli_value is not None:
@@ -182,10 +204,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         format=fmt,
         seed=pick(getattr(args, "seed", None), "seed"),
         samples=pick(getattr(args, "samples", None), "samples"),
-        cap=int(pick(args.cap, "cap", cap_default)),
-        precision_bits=int(
-            pick(args.precision_bits, "precision_bits", DEFAULT_PRECISION_BITS)
-        ),
+        cap=pick(args.cap, "cap", cap_default),
+        precision_bits=pick(args.precision_bits, "precision_bits", DEFAULT_PRECISION_BITS),
         threads=pick(args.threads, "threads", os.cpu_count()),
         output=pick(args.output, "output"),
     )
@@ -603,6 +623,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # Exact values pass CPython's default 4,300-digit limit on int<->str
+    # conversion (3.11+) long before the arithmetic gets slow.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

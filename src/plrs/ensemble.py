@@ -3,14 +3,16 @@
 For each index n, the outcome space collects the legal decompositions of
 the integers in ``[H_n, H_{n+1})``; those are exactly the legal coefficient
 strings of length n with a positive leading coefficient, and there are
-``H_{n+1} - H_n`` of them.  This module materializes that space three ways:
+``H_{n+1} - H_n`` of them.  This module describes that space three ways:
 
 * :func:`enumerate_omega` walks the block grammar directly;
 * :func:`enumerate_by_integer_walk` greedily decomposes every integer in
   the interval (the independent oracle, kept forever in the test suite);
-* :class:`SummandTable` runs an exact dynamic program over tail
-  polynomials, giving the full summand-count histogram of every n without
-  enumerating anything.
+* :class:`SummandTable` follows the same grammar without enumerating
+  anything: a recurrence over integer raw-moment sums serves the exact
+  statistics of every n, and a dynamic program over tail polynomials,
+  built only when a histogram is asked for, gives the full summand-count
+  distribution.
 
 Counts are exact integers, probabilities and moments exact rationals.
 Exports use decimal strings so arbitrary precision survives JSON and CSV.
@@ -22,6 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 from .decomposition import Decomposition, decompose, second_to_last_block_size
@@ -167,7 +170,55 @@ class EnsembleStats:
     variance: Fraction
     central3: Fraction
     central4: Fraction
-    histogram: SummandPolynomial
+
+
+def _stats_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> EnsembleStats:
+    """Moments from the raw sums ``A_j = sum_k k^j * count_k``, j = 0..4.
+
+    Each moment is one fraction: an integer numerator over a power of the
+    cardinality ``T = A_0``.
+    """
+    T, s1, s2, s3, s4 = sums
+    T2 = T * T
+    sq = s1 * s1
+    return EnsembleStats(
+        n,
+        T,
+        Fraction(s1, T),
+        Fraction(T * s2 - sq, T2),
+        Fraction(T2 * s3 - 3 * T * s1 * s2 + 2 * sq * s1, T2 * T),
+        Fraction(
+            T2 * T * s4 - 4 * T2 * s1 * s3 + 6 * T * sq * s2 - 3 * sq * sq, T2 * T2
+        ),
+    )
+
+
+def _moment_weights(
+    lengths: tuple[int, ...], first: int
+) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """Block sizes ``t >= first``, grouped by block length, as moment weights.
+
+    Prepending a block of size t to a string of k summands gives k + t
+    summands, and ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``.  Summed over
+    the sizes of one length, the raw sums of the shorter tail enter
+    ``A_j`` with weight ``C(j, i) * sum_t t^(j-i)``.  Returns
+    ``(length, ((j, i, weight), ...))`` per length, shortest first, with
+    zero weights left out.
+    """
+    groups: dict[int, list[int]] = {}
+    for t in range(first, len(lengths)):
+        groups.setdefault(lengths[t], []).append(t)
+    out = []
+    for ell, sizes in sorted(groups.items()):
+        power = [sum(t**m for t in sizes) for m in range(5)]
+        terms = tuple(
+            (j, i, comb(j, i) * power[j - i])
+            for j in range(5)
+            for i in range(j + 1)
+            if power[j - i]
+        )
+        out.append((ell, terms))
+    return tuple(out)
 
 
 def _shift_add(acc: list[int], src: list[int] | tuple[int, ...], t: int) -> None:
@@ -179,7 +230,7 @@ def _shift_add(acc: list[int], src: list[int] | tuple[int, ...], t: int) -> None
 
 
 class SummandTable:
-    """Exact dynamic program over tail polynomials.
+    """Exact summand-count statistics of every index, by block grammar.
 
     ``Q_r`` counts the legal *remainder* strings of length r (leading zeros
     allowed) by summand count:
@@ -195,9 +246,22 @@ class SummandTable:
               + x^{size of the type-1 block of length n}   (only if n < L)
 
     The type-1 term enters only when the block fills the rest of the
-    string, which encodes "at most one type-1 block, always last".  All
-    coefficients are exact integers; cost is quadratic in n, fine for the
-    desk scale of a few thousand indices.
+    string, which encodes "at most one type-1 block, always last".
+
+    Statistics never build these polynomials.  The table keeps, per tail
+    length r, the five integer raw-moment sums
+    ``A_j(r) = sum_k k^j [x^k] Q_r`` (j = 0..4), which obey the same
+    recurrence with the binomial expansion of ``(k + t)^j``:
+
+        A_j(r) = sum over t with len(t) <= r of
+                     sum_{i <= j} C(j, i) t^(j-i) A_i(r - len(t))
+                 + s_r^j   (type-1 block of size s_r, only if r < L)
+
+    ``P_n``'s sums follow the same way with t >= 1, and :meth:`stats`
+    turns them into exact moments.  Each row holds O(n)-bit integers, so
+    statistics up to n cost O(n^2) bits.  The tail polynomials themselves
+    (O(n^3) bits) are built only when :meth:`polynomial` asks for a
+    histogram.
 
     One table may be shared by concurrent readers once :meth:`extend` has
     completed; extension itself is not thread-safe.
@@ -207,14 +271,41 @@ class SummandTable:
         self.spec = spec
         self.catalog = block_catalog(spec)
         self._prefix_sums = [sum(spec.coefficients[:m]) for m in range(spec.length)]
-        self._tails: list[list[int]] = [[1]]
+        lengths = self.catalog.length_table
+        self._tail_weights = _moment_weights(lengths, 0)
+        self._first_weights = _moment_weights(lengths, 1)
+        self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
+        self._tails: list[list[int]] = []
         self._stats: dict[int, EnsembleStats] = {}
 
+    def _sums(self, weights, r: int) -> tuple[int, ...]:
+        """Raw-moment sums of length-r strings, first block drawn from ``weights``."""
+        rows = self._moments
+        acc = [0, 0, 0, 0, 0]
+        for ell, terms in weights:
+            if ell > r:
+                break
+            row = rows[r - ell]
+            for j, i, w in terms:
+                acc[j] += w * row[i]
+        if r < self.spec.length:
+            size = self._prefix_sums[r]
+            acc = [a + size**j for j, a in enumerate(acc)]
+        return tuple(acc)
+
     def extend(self, n: int) -> None:
+        """Ensure the moment rows of tails up to length ``n`` exist."""
+        rows = self._moments
+        while len(rows) <= n:
+            rows.append(self._sums(self._tail_weights, len(rows)))
+
+    def _extend_tails(self, n: int) -> None:
         """Ensure tail polynomials up to length ``n`` exist."""
         lengths = self.catalog.length_table
         L = self.spec.length
         tails = self._tails
+        if not tails:
+            tails.append([1])
         while len(tails) <= n:
             r = len(tails)
             acc: list[int] = []
@@ -233,7 +324,7 @@ class SummandTable:
         """The exact summand-count histogram of index ``n``."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.extend(n - 1)
+        self._extend_tails(n - 1)
         lengths = self.catalog.length_table
         acc: list[int] = []
         for t in range(1, self.spec.size):
@@ -248,22 +339,26 @@ class SummandTable:
             acc[size] += 1
         return SummandPolynomial(n, tuple(acc))
 
+    def _outcome_sums(self, n: int) -> tuple[int, ...]:
+        """Raw-moment sums ``A_0..A_4`` of the outcome space at index ``n``."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.extend(n - 1)
+        return self._sums(self._first_weights, n)
+
     def stats(self, n: int) -> EnsembleStats:
         """Exact moments at index ``n``, cached."""
         got = self._stats.get(n)
         if got is None:
-            got = self._stats[n] = stats_from_polynomial(self.polynomial(n))
+            got = self._stats[n] = _stats_from_sums(n, self._outcome_sums(n))
         return got
-
-    def cardinality(self, n: int) -> int:
-        return self.stats(n).cardinality
 
     def mean(self, n: int) -> Fraction:
         return self.stats(n).mean
 
     def second_raw_moment(self, n: int) -> Fraction:
-        s = self.stats(n)
-        return s.variance + s.mean * s.mean
+        sums = self._outcome_sums(n)
+        return Fraction(sums[2], sums[0])
 
 
 def summand_polynomial(spec: RecurrenceSpec, n: int) -> SummandPolynomial:
@@ -287,14 +382,7 @@ def stats_from_polynomial(poly: SummandPolynomial) -> EnsembleStats:
         kc *= k
         r3 += kc
         r4 += kc * k
-    m1 = Fraction(r1, total)
-    m2 = Fraction(r2, total)
-    m3 = Fraction(r3, total)
-    m4 = Fraction(r4, total)
-    variance = m2 - m1 * m1
-    central3 = m3 - 3 * m1 * m2 + 2 * m1**3
-    central4 = m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1**4
-    return EnsembleStats(poly.n, total, m1, variance, central3, central4, poly)
+    return _stats_from_sums(poly.n, (total, r1, r2, r3, r4))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from plrs.cli import main
 
@@ -216,6 +219,55 @@ def test_usage_errors(capsys):
     assert run(capsys, "--coeffs", "1,1", "decompose", "0")[0] == 2  # bad value
     assert run(capsys, "--coeffs", "1,1", "--format", "yaml", "seq", "5")[0] == 2
     assert run(capsys, "--coeffs", "1,1", "zdist", "4")[0] == 2  # n <= 2L
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"coefficients": "1,1", "subcommand": "seq", "n": "5"},
+        {"coefficients": "1,1", "subcommand": "verify", "n_max": "60"},
+        {"coefficients": "1,1", "subcommand": "seq", "n": True},
+        {"coefficients": "1,1", "subcommand": "seq", "n": 5.0},
+        {"coefficients": "1,1", "subcommand": "stats", "n": 4, "format": 1},
+        {"coefficients": "1,1", "subcommand": ["seq"], "n": 5},
+        {"coefficients": 11, "subcommand": "seq", "n": 5},
+        {"coefficients": "1,1", "subcommand": "sample", "n": 5, "seed": "1"},
+        {"coefficients": "1,1", "subcommand": "stats", "n": 4, "precision_bits": False},
+    ],
+    ids=[
+        "n-string", "n_max-string", "n-bool", "n-float", "format-int",
+        "subcommand-list", "coefficients-int", "seed-string", "precision-bool",
+    ],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, data):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("plrs: error: config key ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.fixture
+def default_int_digits():
+    """CPython's default int<->str digit limit (3.11+), restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_values_past_the_int_digit_limit(default_int_digits, capsys):
+    # H_n = 10^(100(n-1)) for the base-10^100 system; H_45 has 4,401 digits.
+    code, out, err = run(capsys, "--coeffs", "1" + "0" * 100, "--format", "json", "seq", "45")
+    assert code == 0, err
+    assert json.loads(out)["terms"][-1] == "1" + "0" * 4400
 
 
 def test_help_exits_zero(capsys):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plrs import (
     CapExceeded,
@@ -21,6 +23,7 @@ from plrs import (
     summand_polynomial,
     validate_spec,
     value,
+    verify_variance_bound,
     z_distribution,
 )
 
@@ -137,8 +140,56 @@ def test_stats_invariants(fixture_spec):
     for n in range(1, 31):
         s = engine.stats(n)
         assert s.variance >= 0
-        assert s.cardinality == s.histogram.total
+        assert s.cardinality == engine.polynomial(n).total
         assert s.cardinality == table.term(n + 1) - table.term(n)
+
+
+# Random valid specs: L <= 6, c_i <= 4, zeros in the middle allowed, and the
+# base-k systems (k,).
+_POSITIVE = st.integers(min_value=1, max_value=4)
+RANDOM_SPECS = st.one_of(
+    st.integers(min_value=2, max_value=4).map(lambda k: (k,)),
+    st.tuples(
+        _POSITIVE, st.lists(st.integers(min_value=0, max_value=4), max_size=4), _POSITIVE
+    ).map(lambda p: (p[0], *p[1], p[2])),
+)
+
+
+@given(RANDOM_SPECS)
+def test_moment_engine_matches_polynomial_dp(coeffs):
+    spec = validate_spec(coeffs)
+    engine = SummandTable(spec)
+    for n in range(1, 41):
+        expected = stats_from_polynomial(engine.polynomial(n))
+        got = engine.stats(n)
+        assert got == expected
+        assert engine.second_raw_moment(n) == got.variance + got.mean**2
+
+
+def test_statistics_never_build_tail_polynomials(fixture_spec):
+    engine = SummandTable(fixture_spec)
+    for n in range(1, 401):
+        engine.stats(n)
+        engine.second_raw_moment(n)
+    assert engine._tails == []
+    engine = SummandTable(fixture_spec)
+    verify_variance_bound(fixture_spec, 200, engine=engine)
+    assert engine._tails == []
+
+
+def test_stats_memory_stays_small_at_large_n(h2202):
+    # The tail-polynomial DP needed about 5 GB for this index.
+    engine = SummandTable(h2202)
+    tracemalloc.start()
+    try:
+        s = engine.stats(4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    table = SequenceTable(h2202)
+    assert s.cardinality == table.term(4001) - table.term(4000)
+    assert s.variance > 0
 
 
 def test_polynomial_json_csv_round_trip(fib):

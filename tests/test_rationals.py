@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,3 +52,28 @@ def test_round_to_bits_zero_and_bad_bits():
     assert round_to_bits(Fraction(0), 10) == 0
     with pytest.raises(ValueError):
         round_to_bits(Fraction(1), 0)
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift CPython's int<->str digit limit (3.11+) for one test, as the CLI does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_round_trips_past_the_int_digit_limit(unlimited_int_digits):
+    q = Fraction(7**5917 + 1, 3**10480)  # about 5,000 digits on each side
+    assert len(str(q.numerator)) > 5000 and len(str(q.denominator)) > 5000
+    assert parse_fraction(format_fraction(q)) == q
+    assert parse_fraction(format_fraction(-q)) == -q
+    x = Fraction(10**5000 + 1, 3)
+    text = decimal_str(x, 3)
+    assert text == "3" * 5000 + ".667"
+    assert Fraction(text) == Fraction(round(x * 1000), 1000)
