@@ -49,7 +49,6 @@ from .recurrence import (
     RecurrenceSpec,
     SequenceTable,
     block_catalog,
-    block_length,
     sequence_terms,
     validate_spec,
 )
@@ -63,7 +62,6 @@ from .decomposition import (
     parse_blocks,
     remove_second_to_last_block,
     second_to_last_block_size,
-    summand_count,
     value,
 )
 from .ensemble import (
@@ -111,7 +109,6 @@ __all__ = [
     "validate_spec",
     "sequence_terms",
     "block_catalog",
-    "block_length",
     # decomposition
     "Decomposition",
     "BlockParse",
@@ -120,7 +117,6 @@ __all__ = [
     "value",
     "is_legal",
     "parse_blocks",
-    "summand_count",
     "second_to_last_block_size",
     "remove_second_to_last_block",
     "insert_block_before_last",

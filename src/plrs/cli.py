@@ -4,7 +4,10 @@ Every library capability is exposed as a subcommand with reproducible
 output: ``table`` (human, default), ``csv`` and ``json``.  Exact rationals
 appear as ``p/q`` strings and arbitrary-precision integers as decimal
 strings, never as floats, so csv/json output is byte-identical across
-runs for identical arguments (including the sampling seed).
+runs for identical arguments (including the sampling seed).  Each
+subcommand handler returns its result as one :class:`Payload` (a json
+object, csv rows, and table text where that differs from the csv), and
+one emitter writes it in the chosen format.
 
 Exit codes: 0 success (all checks pass), 1 verification failure (a bound
 or identity failed, or a string was judged illegal), 2 usage/config error.
@@ -20,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .decomposition import (
     decompose,
@@ -71,7 +75,6 @@ class RunConfig:
     samples: int | None = None
     cap: int | None = None
     precision_bits: int = DEFAULT_PRECISION_BITS
-    threads: int | None = None
     output: str | None = None
 
 
@@ -98,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision-bits", type=int, default=None,
         help="mantissa bits for the growth-constant estimates (default 128)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for independent sweeps (default: available parallelism)",
     )
 
     sub = parser.add_subparsers(dest="subcommand")
@@ -148,12 +147,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Config keys whose values must be JSON integers; every other RunConfig key
 # takes a string ("coefficients" also takes a list).
-_INT_KEYS = frozenset({"n", "n_max", "seed", "samples", "cap", "precision_bits", "threads"})
+_INT_KEYS = frozenset({"n", "n_max", "seed", "samples", "cap", "precision_bits"})
 
 
 def _check_config_types(data: dict) -> None:
     for key, val in data.items():
-        if val is None or key not in RunConfig.__dataclass_fields__:
+        if key not in RunConfig.__dataclass_fields__:
+            raise ValueError(
+                f"config key {key!r} is unknown (known keys: "
+                f"{', '.join(RunConfig.__dataclass_fields__)})"
+            )
+        if val is None:
             continue
         if key in _INT_KEYS:
             ok, want = isinstance(val, int) and not isinstance(val, bool), "an integer"
@@ -206,18 +210,57 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         samples=pick(getattr(args, "samples", None), "samples"),
         cap=pick(args.cap, "cap", cap_default),
         precision_bits=pick(args.precision_bits, "precision_bits", DEFAULT_PRECISION_BITS),
-        threads=pick(args.threads, "threads", os.cpu_count()),
         output=pick(args.output, "output"),
     )
 
 
-def _emit(cfg: RunConfig, payload: str) -> None:
+@dataclass(frozen=True)
+class Payload:
+    """One result in every output format; only the chosen one is built.
+
+    ``data`` gives the json object, ``header`` and ``rows`` the csv (one
+    tuple of cells per line), ``text`` the table where it differs from the
+    csv, and ``footer`` the lines the table appends to the csv otherwise.
+    """
+
+    data: Callable[[], dict]
+    header: str
+    rows: Callable[[], Iterable[tuple]]
+    text: Callable[[], str] | None = None
+    footer: str = ""
+    indent: int | None = None
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _csv(payload: Payload) -> str:
+    lines = [payload.header]
+    lines.extend(",".join(map(_cell, row)) for row in payload.rows())
+    return "\n".join(lines) + "\n"
+
+
+def _render(fmt: str, payload: Payload) -> str:
+    if fmt == "json":
+        return json.dumps(payload.data(), indent=payload.indent)
+    if fmt == "csv":
+        return _csv(payload)
+    if payload.text is not None:
+        return payload.text()
+    return _csv(payload) + payload.footer
+
+
+def _emit(cfg: RunConfig, payload: Payload) -> None:
+    text = _render(cfg.format, payload)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(text)
     else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -231,66 +274,76 @@ def _spec(cfg: RunConfig) -> RecurrenceSpec:
     return RecurrenceSpec.from_text(cfg.coefficients)
 
 
-# -- subcommand handlers -----------------------------------------------------
+def _outcomes(head: dict, key: str, rows: list, footer: str = "") -> Payload:
+    """Payload of a list of (value, decomposition) pairs, as ``enumerate``
+    and ``sample`` print it: ``head`` plus the list under ``key`` in json."""
+    return Payload(
+        data=lambda: {
+            **head,
+            key: [
+                {"value": str(v), "summands": d.summand_count, "coefficients": d.to_text()}
+                for v, d in rows
+            ],
+        },
+        header="index,value,summands,coefficients",
+        rows=lambda: ((i, v, d.summand_count, d.to_text()) for i, (v, d) in enumerate(rows)),
+        footer=footer,
+    )
 
 
-def _cmd_seq(cfg: RunConfig) -> int:
+# -- subcommand handlers: each returns its exit code and its payload ---------
+
+
+def _cmd_seq(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "seq needs a positive index n")
     spec = _spec(cfg)
     terms = SequenceTable(spec, cfg.n).terms(cfg.n)
-    if cfg.format == "json":
-        body = ", ".join(f'"{t}"' for t in terms)
-        _emit(cfg, f'{{"coefficients": "{spec}", "terms": [{body}]}}')
-    elif cfg.format == "csv":
-        lines = ["n,H"] + [f"{i},{t}" for i, t in enumerate(terms, start=1)]
-        _emit(cfg, "\n".join(lines) + "\n")
-    else:
-        _emit(cfg, "\n".join(f"H_{i} = {t}" for i, t in enumerate(terms, start=1)))
-    return 0
+    return 0, Payload(
+        data=lambda: {"coefficients": str(spec), "terms": [str(t) for t in terms]},
+        header="n,H",
+        rows=lambda: enumerate(terms, start=1),
+        text=lambda: "\n".join(f"H_{i} = {t}" for i, t in enumerate(terms, start=1)),
+    )
 
 
-def _cmd_blocks(cfg: RunConfig) -> int:
+def _cmd_blocks(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
     cat = block_catalog(spec)
-    if cfg.format == "json":
-        t1 = ", ".join(
-            f'{{"length": {b.length}, "size": {b.size}, "coefficients": {list(b.coefficients)}}}'
-            for b in cat.type1_blocks
-        )
-        t2 = ", ".join(
-            f'{{"size": {b.size}, "length": {b.length}, "coefficients": {list(b.coefficients)}}}'
-            for b in cat.type2_by_size
-        )
-        lens = ", ".join(str(x) for x in cat.length_table)
-        _emit(
-            cfg,
-            f'{{"coefficients": "{spec}", "size": {spec.size}, "length": {spec.length}, '
-            f'"type1": [{t1}], "type2": [{t2}], "lengths": [{lens}]}}',
-        )
-    elif cfg.format == "csv":
-        lines = ["kind,size,length,coefficients"]
-        lines.extend(
-            f"type1,{b.size},{b.length},{' '.join(map(str, b.coefficients))}"
-            for b in cat.type1_blocks
-        )
-        lines.extend(
-            f"type2,{b.size},{b.length},{' '.join(map(str, b.coefficients))}"
-            for b in cat.type2_by_size
-        )
-        _emit(cfg, "\n".join(lines) + "\n")
-    else:
-        lines = [
+
+    def data():
+        return {
+            "coefficients": str(spec),
+            "size": spec.size,
+            "length": spec.length,
+            "type1": [
+                {"length": b.length, "size": b.size, "coefficients": b.coefficients}
+                for b in cat.type1_blocks
+            ],
+            "type2": [
+                {"size": b.size, "length": b.length, "coefficients": b.coefficients}
+                for b in cat.type2_by_size
+            ],
+            "lengths": cat.length_table,
+        }
+
+    def rows():
+        for kind, blocks in (("type1", cat.type1_blocks), ("type2", cat.type2_by_size)):
+            for b in blocks:
+                yield kind, b.size, b.length, " ".join(map(str, b.coefficients))
+
+    def text():
+        return "\n".join([
             f"recurrence {spec} (size S={spec.size}, length L={spec.length})",
             "type-1 blocks: " + (" ".join(str(b) for b in cat.type1_blocks) or "(none)"),
             "type-2 blocks: " + " ".join(str(b) for b in cat.type2_by_size),
             "size -> length: "
             + "  ".join(f"{t}:{l}" for t, l in enumerate(cat.length_table)),
-        ]
-        _emit(cfg, "\n".join(lines))
-    return 0
+        ])
+
+    return 0, Payload(data, "kind,size,length,coefficients", rows, text)
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
+def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None, "decompose needs a positive integer")
     spec = _spec(cfg)
     table = SequenceTable(spec)
@@ -299,157 +352,122 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     indices = []
     for i, a in enumerate(d.coefficients):
         indices.extend([d.m - i] * a)
-    summed = " + ".join(
-        (f"{a}*H_{d.m - i}" if a > 1 else f"H_{d.m - i}")
-        for i, a in enumerate(d.coefficients)
-        if a
+
+    def text():
+        summed = " + ".join(
+            (f"{a}*H_{d.m - i}" if a > 1 else f"H_{d.m - i}")
+            for i, a in enumerate(d.coefficients)
+            if a
+        )
+        return "\n".join([
+            f"{cfg.n} = {summed}",
+            f"indices: {','.join(map(str, indices))}",
+            f"coefficients: {d.to_text()}",
+            f"blocks: {blocks}",
+            f"summands: {d.summand_count}",
+        ])
+
+    return 0, Payload(
+        data=lambda: {
+            "value": str(cfg.n),
+            "coefficients": d.coefficients,
+            "blocks": str(blocks),
+            "indices": indices,
+            "summands": d.summand_count,
+        },
+        header="value,summands,coefficients,blocks",
+        rows=lambda: [(cfg.n, d.summand_count, d.to_text(), blocks)],
+        text=text,
     )
-    if cfg.format == "json":
-        coeffs = ", ".join(str(a) for a in d.coefficients)
-        idx = ", ".join(str(j) for j in indices)
-        _emit(
-            cfg,
-            f'{{"value": "{cfg.n}", "coefficients": [{coeffs}], '
-            f'"blocks": "{blocks}", "indices": [{idx}], "summands": {d.summand_count}}}',
-        )
-    elif cfg.format == "csv":
-        _emit(
-            cfg,
-            "value,summands,coefficients,blocks\n"
-            f"{cfg.n},{d.summand_count},{d.to_text()},{blocks}\n",
-        )
-    else:
-        _emit(
-            cfg,
-            "\n".join(
-                [
-                    f"{cfg.n} = {summed}",
-                    f"indices: {','.join(map(str, indices))}",
-                    f"coefficients: {d.to_text()}",
-                    f"blocks: {blocks}",
-                    f"summands: {d.summand_count}",
-                ]
-            ),
-        )
-    return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
+def _cmd_validate(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.text is not None, "validate needs a coefficient string")
     spec = _spec(cfg)
     coeffs = [int(part) for part in cfg.text.split()]
     verdict = is_legal(spec, coeffs)
-    if cfg.format == "json":
-        reason = f'"{verdict.reason}"' if verdict.reason else "null"
-        pos = verdict.position if verdict.position is not None else "null"
-        _emit(
-            cfg,
-            f'{{"coefficients": {coeffs}, "legal": {str(verdict.ok).lower()}, '
-            f'"reason": {reason}, "position": {pos}}}',
-        )
-    elif cfg.format == "csv":
-        _emit(
-            cfg,
-            "legal,reason,position\n"
-            f"{str(verdict.ok).lower()},{verdict.reason or ''},"
-            f"{'' if verdict.position is None else verdict.position}\n",
-        )
-    else:
-        if verdict:
-            _emit(cfg, "legal")
-        else:
-            _emit(cfg, f"illegal: {verdict.reason} (position {verdict.position})")
-    return 0 if verdict else 1
+    return (0 if verdict else 1), Payload(
+        data=lambda: {
+            "coefficients": coeffs,
+            "legal": verdict.ok,
+            "reason": verdict.reason or None,
+            "position": verdict.position,
+        },
+        header="legal,reason,position",
+        rows=lambda: [(verdict.ok, verdict.reason, verdict.position)],
+        text=lambda: (
+            "legal" if verdict
+            else f"illegal: {verdict.reason} (position {verdict.position})"
+        ),
+    )
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
+def _cmd_enumerate(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "enumerate needs a positive index n")
     spec = _spec(cfg)
     table = SequenceTable(spec)
     count = table.term(cfg.n + 1) - table.term(cfg.n)
     if count > cfg.cap:
         raise CapExceeded(count, cfg.cap)
-    rows = []
-    for i, d in enumerate(enumerate_omega(spec, cfg.n)):
-        rows.append((i, value(table, d), d))
-    if cfg.format == "json":
-        body = ", ".join(
-            f'{{"value": "{v}", "summands": {d.summand_count}, "coefficients": "{d.to_text()}"}}'
-            for _, v, d in rows
-        )
-        _emit(cfg, f'{{"n": {cfg.n}, "cardinality": "{count}", "outcomes": [{body}]}}')
-    else:
-        lines = ["index,value,summands,coefficients"]
-        lines.extend(f"{i},{v},{d.summand_count},{d.to_text()}" for i, v, d in rows)
-        payload = "\n".join(lines) + "\n"
-        if cfg.format == "table":
-            payload += f"cardinality: {count}\n"
-        _emit(cfg, payload)
-    return 0
+    rows = [(value(table, d), d) for d in enumerate_omega(spec, cfg.n)]
+    head = {"n": cfg.n, "cardinality": str(count)}
+    return 0, _outcomes(head, "outcomes", rows, f"cardinality: {count}\n")
 
 
-def _cmd_poly(cfg: RunConfig) -> int:
+def _cmd_poly(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "poly needs a positive index n")
     spec = _spec(cfg)
     poly = SummandTable(spec).polynomial(cfg.n)
-    if cfg.format == "json":
-        _emit(cfg, poly.to_json())
-    elif cfg.format == "csv":
-        _emit(cfg, poly.to_csv())
-    else:
-        terms = [
-            (f"{c}x^{k}" if c > 1 else f"x^{k}")
-            for k, c in enumerate(poly.coeffs)
-            if c
-        ]
-        _emit(
-            cfg,
+
+    def text():
+        terms = [(f"{c}x^{k}" if c > 1 else f"x^{k}") for k, c in enumerate(poly.coeffs) if c]
+        return (
             f"n = {cfg.n}\ncounts by summands: "
             + " + ".join(terms)
-            + f"\ncardinality: {poly.total}",
+            + f"\ncardinality: {poly.total}"
         )
-    return 0
+
+    return 0, Payload(
+        data=lambda: {"n": poly.n, "coeffs": [str(c) for c in poly.coeffs]},
+        header="k,count",
+        rows=lambda: enumerate(poly.coeffs),
+        text=text,
+    )
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
+def _cmd_stats(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "stats needs a positive index n")
     spec = _spec(cfg)
     s = SummandTable(spec).stats(cfg.n)
-    fields = [
-        ("cardinality", str(s.cardinality)),
-        ("mean", format_fraction(s.mean)),
-        ("variance", format_fraction(s.variance)),
-        ("central3", format_fraction(s.central3)),
-        ("central4", format_fraction(s.central4)),
-    ]
-    if cfg.format == "json":
-        body = ", ".join(f'"{k}": "{v}"' for k, v in fields)
-        _emit(cfg, f'{{"n": {cfg.n}, {body}}}')
-    elif cfg.format == "csv":
-        _emit(
-            cfg,
-            "n," + ",".join(k for k, _ in fields) + "\n"
-            + f"{cfg.n}," + ",".join(v for _, v in fields) + "\n",
-        )
-    else:
+    fields = {
+        "cardinality": str(s.cardinality),
+        "mean": format_fraction(s.mean),
+        "variance": format_fraction(s.variance),
+        "central3": format_fraction(s.central3),
+        "central4": format_fraction(s.central4),
+    }
+
+    def text():
         lines = [f"n = {cfg.n}"]
-        lines.extend(f"{k} = {v}" for k, v in fields)
+        lines.extend(f"{k} = {v}" for k, v in fields.items())
         lines.append(f"mean ~ {decimal_str(s.mean, 6)}  variance ~ {decimal_str(s.variance, 6)}")
-        _emit(cfg, "\n".join(lines))
-    return 0
+        return "\n".join(lines)
+
+    return 0, Payload(
+        data=lambda: {"n": cfg.n, **fields},
+        header="n," + ",".join(fields),
+        rows=lambda: [(cfg.n, *fields.values())],
+        text=text,
+    )
 
 
-def _cmd_zdist(cfg: RunConfig) -> int:
+def _cmd_zdist(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "zdist needs a positive index n")
     spec = _spec(cfg)
     zd = z_distribution(spec, cfg.n, cap=cfg.cap)
     checked = zd.empirical_counts is not None
-    if cfg.format == "json":
-        payload = zd.to_json()[:-1] + f', "empirical_checked": {str(checked).lower()}}}'
-        _emit(cfg, payload)
-    elif cfg.format == "csv":
-        _emit(cfg, zd.to_csv())
-    else:
+
+    def text():
         lines = [f"n = {cfg.n} (cardinality {zd.cardinality})", "t  length  prob"]
         lines.extend(
             f"{t:<2} {zd.lengths[t]:<7} {format_fraction(p)} ~ {decimal_str(p, 6)}"
@@ -460,20 +478,32 @@ def _cmd_zdist(cfg: RunConfig) -> int:
             if checked
             else "empirical tally: skipped (space above cap)"
         )
-        _emit(cfg, "\n".join(lines))
-    return 0
+        return "\n".join(lines)
+
+    return 0, Payload(
+        data=lambda: {
+            "n": zd.n,
+            "probs": [format_fraction(p) for p in zd.probs],
+            "lengths": zd.lengths,
+            "cardinality": str(zd.cardinality),
+            "empirical_checked": checked,
+        },
+        header="t,length,prob",
+        rows=lambda: ((t, zd.lengths[t], format_fraction(p)) for t, p in enumerate(zd.probs)),
+        text=text,
+    )
 
 
-def _cmd_identities(cfg: RunConfig) -> int:
+def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "identities needs a positive index n")
     spec = _spec(cfg)
     engine = SummandTable(spec)
     table = SequenceTable(spec)
     rows = []
     l1, r1 = first_moment_identity(spec, cfg.n, engine=engine, table=table)
-    rows.append(("mean", "", l1, r1))
+    rows.append(("mean", None, l1, r1))
     l2, r2 = second_moment_identity(spec, cfg.n, engine=engine, table=table)
-    rows.append(("second_moment", "", l2, r2))
+    rows.append(("second_moment", None, l2, r2))
     omega = table.term(cfg.n + 1) - table.term(cfg.n)
     skipped = omega > cfg.cap
     if not skipped:
@@ -485,56 +515,45 @@ def _cmd_identities(cfg: RunConfig) -> int:
             )
             rows.append(("conditional_second", t, lq, rq))
     ok = all(l == r for _, _, l, r in rows)
-    if cfg.format == "json":
-        body = ", ".join(
-            f'{{"identity": "{name}", "t": {t if t != "" else "null"}, '
-            f'"lhs": "{format_fraction(l)}", "rhs": "{format_fraction(r)}", '
-            f'"equal": {str(l == r).lower()}}}'
+    return (0 if ok else 1), Payload(
+        data=lambda: {
+            "n": cfg.n,
+            "enumeration_checked": not skipped,
+            "all_equal": ok,
+            "checks": [
+                {
+                    "identity": name,
+                    "t": t,
+                    "lhs": format_fraction(l),
+                    "rhs": format_fraction(r),
+                    "equal": l == r,
+                }
+                for name, t, l, r in rows
+            ],
+        },
+        header="identity,t,lhs,rhs,equal",
+        rows=lambda: (
+            (name, t, format_fraction(l), format_fraction(r), l == r)
             for name, t, l, r in rows
-        )
-        _emit(
-            cfg,
-            f'{{"n": {cfg.n}, "enumeration_checked": {str(not skipped).lower()}, '
-            f'"all_equal": {str(ok).lower()}, "checks": [{body}]}}',
-        )
-    else:
-        lines = ["identity,t,lhs,rhs,equal"]
-        lines.extend(
-            f"{name},{t},{format_fraction(l)},{format_fraction(r)},{str(l == r).lower()}"
-            for name, t, l, r in rows
-        )
-        payload = "\n".join(lines) + "\n"
-        if cfg.format == "table":
-            payload += (
-                "conditional checks skipped (space above cap)\n" if skipped else ""
-            ) + ("all identities hold exactly\n" if ok else "IDENTITY FAILURE\n")
-        _emit(cfg, payload)
-    return 0 if ok else 1
+        ),
+        footer=("conditional checks skipped (space above cap)\n" if skipped else "")
+        + ("all identities hold exactly\n" if ok else "IDENTITY FAILURE\n"),
+    )
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
     n_max = cfg.n_max if cfg.n_max is not None else 400
+    code = 0
     try:
-        report = verify_variance_bound(
-            spec, n_max, precision_bits=cfg.precision_bits, threads=cfg.threads
-        )
+        report = verify_variance_bound(spec, n_max, precision_bits=cfg.precision_bits)
     except BoundViolated as exc:
-        report = exc.report
-        _write_verify_payload(cfg, report)
+        report, code = exc.report, 1
         print(f"variance bound FAILED at n = {exc.n}", file=sys.stderr)
-        return 1
-    _write_verify_payload(cfg, report)
-    return 0
 
-
-def _write_verify_payload(cfg: RunConfig, report) -> None:
-    if cfg.format == "json":
-        _emit(cfg, json.dumps(report.to_json_dict(), indent=2))
-    elif cfg.format == "csv":
-        _emit(cfg, report.summary_csv())
-    else:
-        head = [
+    def text():
+        header = f"{'n':>6} {'mean':>14} {'variance':>14} {'c*n':>14} {'margin':>14}  pass"
+        lines = [
             f"recurrence {report.spec} (S={report.size}, L={report.length}), n_max={report.n_max}",
             f"a_est = {decimal_str(report.a_est, 10)}  b_est = {decimal_str(report.b_est, 10)}"
             f"  convergence_gap = {decimal_str(report.convergence_gap, 20)}",
@@ -542,68 +561,87 @@ def _write_verify_payload(cfg: RunConfig, report) -> None:
             f"c = {format_fraction(report.c)} ~ {decimal_str(report.c, 10)}  (from {report.c_source})",
             f"variance slope estimate = {decimal_str(report.slope_C_est, 10)}",
             "",
-            report.summary_text(),
+            header,
+            "-" * len(header),
         ]
-        tail = (
+        lines.extend(
+            f"{row.n:>6} {decimal_str(row.mean, 6):>14} "
+            f"{decimal_str(row.variance, 6):>14} "
+            f"{decimal_str(row.bound, 6):>14} "
+            f"{decimal_str(row.margin, 6):>14}  "
+            f"{'yes' if row.passed else 'NO'}"
+            for row in report.per_n
+        )
+        lines.append(
             "all variance bounds hold"
             if report.all_pass
             else f"FAILED at n = {report.violations[0]}"
         )
-        _emit(cfg, "\n".join(head) + tail + "\n")
+        return "\n".join(lines) + "\n"
+
+    return code, Payload(
+        data=report.to_json_dict,
+        header="n,mean,variance,c_times_n,margin,pass",
+        rows=lambda: (
+            (
+                row.n,
+                format_fraction(row.mean),
+                format_fraction(row.variance),
+                format_fraction(row.bound),
+                format_fraction(row.margin),
+                row.passed,
+            )
+            for row in report.per_n
+        ),
+        text=text,
+        indent=2,
+    )
 
 
-def _cmd_gauss(cfg: RunConfig) -> int:
+def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
     text = cfg.n_list or "50,100,200,400"
     ns = [int(part) for part in text.split(",") if part.strip()]
     _require(ns, "gauss needs a non-empty --n-list")
-    rows = gaussian_diagnostics(spec, ns, threads=cfg.threads)
-    if cfg.format == "json":
-        body = ", ".join(
-            f'{{"n": {r.n}, "skewness": "{r.skewness!r}", '
-            f'"excess_kurtosis": "{r.excess_kurtosis!r}", '
-            f'"skewness_squared": "{format_fraction(r.skewness_squared)}", '
-            f'"excess_kurtosis_exact": "{format_fraction(r.excess_kurtosis_exact)}"}}'
-            for r in rows
-        )
-        _emit(cfg, f'{{"coefficients": "{spec}", "rows": [{body}]}}')
-    elif cfg.format == "csv":
-        lines = ["n,skewness,excess_kurtosis"]
-        lines.extend(f"{r.n},{r.skewness!r},{r.excess_kurtosis!r}" for r in rows)
-        _emit(cfg, "\n".join(lines) + "\n")
-    else:
+    rows = gaussian_diagnostics(spec, ns)
+
+    def table():
         lines = [f"{'n':>6} {'skewness':>14} {'excess_kurtosis':>16}"]
         lines.extend(
             f"{r.n:>6} {r.skewness:>14.6f} {r.excess_kurtosis:>16.6f}" for r in rows
         )
-        _emit(cfg, "\n".join(lines))
-    return 0
+        return "\n".join(lines)
+
+    return 0, Payload(
+        data=lambda: {
+            "coefficients": str(spec),
+            "rows": [
+                {
+                    "n": r.n,
+                    "skewness": repr(r.skewness),
+                    "excess_kurtosis": repr(r.excess_kurtosis),
+                    "skewness_squared": format_fraction(r.skewness_squared),
+                    "excess_kurtosis_exact": format_fraction(r.excess_kurtosis_exact),
+                }
+                for r in rows
+            ],
+        },
+        header="n,skewness,excess_kurtosis",
+        rows=lambda: ((r.n, repr(r.skewness), repr(r.excess_kurtosis)) for r in rows),
+        text=table,
+    )
 
 
-def _cmd_sample(cfg: RunConfig) -> int:
+def _cmd_sample(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "sample needs a positive index n")
     _require(cfg.seed is not None, "sample needs an explicit --seed")
     count = cfg.samples if cfg.samples is not None else 10
     _require(count >= 1, "--samples must be >= 1")
     spec = _spec(cfg)
     table = SequenceTable(spec)
-    rows = []
-    for i, d in enumerate(sample_uniform(table, cfg.n, count, cfg.seed)):
-        rows.append((i, value(table, d), d))
-    if cfg.format == "json":
-        body = ", ".join(
-            f'{{"value": "{v}", "summands": {d.summand_count}, "coefficients": "{d.to_text()}"}}'
-            for _, v, d in rows
-        )
-        _emit(
-            cfg,
-            f'{{"n": {cfg.n}, "seed": {cfg.seed}, "samples": {count}, "draws": [{body}]}}',
-        )
-    else:
-        lines = ["index,value,summands,coefficients"]
-        lines.extend(f"{i},{v},{d.summand_count},{d.to_text()}" for i, v, d in rows)
-        _emit(cfg, "\n".join(lines) + "\n")
-    return 0
+    rows = [(value(table, d), d) for d in sample_uniform(table, cfg.n, count, cfg.seed)]
+    head = {"n": cfg.n, "seed": cfg.seed, "samples": count}
+    return 0, _outcomes(head, "draws", rows)
 
 
 _HANDLERS = {
@@ -643,7 +681,9 @@ def main(argv=None) -> int:
         if handler is None:
             print(f"plrs: error: unknown subcommand {cfg.subcommand!r}", file=sys.stderr)
             return 2
-        return handler(cfg)
+        code, payload = handler(cfg)
+        _emit(cfg, payload)
+        return code
     except (BoundViolated, NoThresholdInRange, NonPositiveC, EmptyConditionalEvent) as exc:
         print(f"plrs: verification failure: {exc}", file=sys.stderr)
         return 1

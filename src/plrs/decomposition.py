@@ -43,7 +43,6 @@ __all__ = [
     "value",
     "is_legal",
     "parse_blocks",
-    "summand_count",
     "second_to_last_block_size",
     "remove_second_to_last_block",
     "insert_block_before_last",
@@ -247,11 +246,6 @@ def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
     if failure is not None:  # pragma: no cover - constructor already validated
         raise IllegalDecomposition(failure.reason or "illegal decomposition")
     return BlockParse(tuple(blocks))
-
-
-def summand_count(d: Decomposition) -> int:
-    """Number of summands: the coefficient sum."""
-    return d.summand_count
 
 
 def second_to_last_block_size(spec: RecurrenceSpec, coefficients) -> int:

@@ -15,12 +15,10 @@ strings of length n with a positive leading coefficient, and there are
   distribution.
 
 Counts are exact integers, probabilities and moments exact rationals.
-Exports use decimal strings so arbitrary precision survives JSON and CSV.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +34,6 @@ from .errors import (
     PlrsError,
     SizeOutOfRange,
 )
-from .rationals import format_fraction
 from .recurrence import RecurrenceSpec, SequenceTable, block_catalog
 
 __all__ = [
@@ -145,20 +142,6 @@ class SummandPolynomial:
         """The cardinality: the polynomial evaluated at 1."""
         return sum(self.coeffs)
 
-    def to_json(self) -> str:
-        body = ", ".join(f'"{c}"' for c in self.coeffs)
-        return f'{{"n": {self.n}, "coeffs": [{body}]}}'
-
-    def to_csv(self) -> str:
-        lines = ["k,count"]
-        lines.extend(f"{k},{c}" for k, c in enumerate(self.coeffs))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SummandPolynomial":
-        data = json.loads(text)
-        return cls(int(data["n"]), tuple(int(c) for c in data["coeffs"]))
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -262,9 +245,6 @@ class SummandTable:
     statistics up to n cost O(n^2) bits.  The tail polynomials themselves
     (O(n^3) bits) are built only when :meth:`polynomial` asks for a
     histogram.
-
-    One table may be shared by concurrent readers once :meth:`extend` has
-    completed; extension itself is not thread-safe.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -408,28 +388,6 @@ class ZDistribution:
         for t, p in enumerate(self.probs):
             out[self.lengths[t]] = out.get(self.lengths[t], Fraction(0)) + p
         return dict(sorted(out.items()))
-
-    def expected_length(self) -> Fraction:
-        return sum(
-            (Fraction(ell) * p for ell, p in self.length_distribution.items()),
-            Fraction(0),
-        )
-
-    def to_json(self) -> str:
-        probs = ", ".join(f'"{format_fraction(p)}"' for p in self.probs)
-        lens = ", ".join(str(x) for x in self.lengths)
-        return (
-            f'{{"n": {self.n}, "probs": [{probs}], "lengths": [{lens}], '
-            f'"cardinality": "{self.cardinality}"}}'
-        )
-
-    def to_csv(self) -> str:
-        lines = ["t,length,prob"]
-        lines.extend(
-            f"{t},{self.lengths[t]},{format_fraction(p)}"
-            for t, p in enumerate(self.probs)
-        )
-        return "\n".join(lines) + "\n"
 
 
 def z_distribution(

@@ -46,7 +46,6 @@ __all__ = [
     "validate_spec",
     "sequence_terms",
     "block_catalog",
-    "block_length",
 ]
 
 
@@ -253,7 +252,3 @@ def block_catalog(spec: RecurrenceSpec) -> BlockCatalog:
             raise AssertionError(f"no block terminates size {t}")
     return BlockCatalog(spec, type1, tuple(type2))
 
-
-def block_length(catalog: BlockCatalog, t: int) -> int:
-    """Length of the type-2 block of size ``t`` (the table lookup)."""
-    return catalog.length_of(t)

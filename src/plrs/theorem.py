@@ -31,7 +31,6 @@ entirely and are the strongest regression checks in the package:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,11 +93,6 @@ class GrowthEstimate:
         if not 1 <= n <= self.n_max:
             raise MissingFValue(f"f({n}) not tabulated (window is 1..{self.n_max})")
         return self.f_values[n - 1]
-
-    @property
-    def f_table(self) -> dict[int, Fraction]:
-        """The residuals as an index-keyed mapping (built on demand)."""
-        return {n: v for n, v in enumerate(self.f_values, start=1)}
 
 
 def estimate_growth(
@@ -294,7 +288,6 @@ def gaussian_diagnostics(
     n_list,
     *,
     engine: SummandTable | None = None,
-    threads: int | None = None,
 ) -> tuple[GaussianRow, ...]:
     """Exact skewness and excess kurtosis at the given indices.
 
@@ -309,19 +302,16 @@ def gaussian_diagnostics(
     engine = engine if engine is not None else SummandTable(spec)
     engine.extend(max(ns) - 1)
 
-    def row(n: int) -> GaussianRow:
+    rows = []
+    for n in ns:
         s = engine.stats(n)
         if s.variance == 0:
             raise DegenerateVariance(f"variance is zero at n={n}")
         skew_sq = s.central3**2 / s.variance**3
         skew = math.copysign(math.sqrt(float(skew_sq)), float(s.central3))
         exkurt = s.central4 / s.variance**2 - 3
-        return GaussianRow(n, skew, float(exkurt), skew_sq, exkurt)
-
-    if threads is not None and threads > 1 and len(ns) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(row, ns))
-    return tuple(row(n) for n in ns)
+        rows.append(GaussianRow(n, skew, float(exkurt), skew_sq, exkurt))
+    return tuple(rows)
 
 
 def gaussian_trend_ok(rows) -> bool:
@@ -470,29 +460,6 @@ class TheoremReport:
             ],
         }
 
-    def summary_csv(self) -> str:
-        lines = ["n,mean,variance,c_times_n,margin,pass"]
-        lines.extend(
-            f"{row.n},{format_fraction(row.mean)},{format_fraction(row.variance)},"
-            f"{format_fraction(row.bound)},{format_fraction(row.margin)},"
-            f"{str(row.passed).lower()}"
-            for row in self.per_n
-        )
-        return "\n".join(lines) + "\n"
-
-    def summary_text(self, digits: int = 6) -> str:
-        header = f"{'n':>6} {'mean':>14} {'variance':>14} {'c*n':>14} {'margin':>14}  pass"
-        lines = [header, "-" * len(header)]
-        for row in self.per_n:
-            lines.append(
-                f"{row.n:>6} {decimal_str(row.mean, digits):>14} "
-                f"{decimal_str(row.variance, digits):>14} "
-                f"{decimal_str(row.bound, digits):>14} "
-                f"{decimal_str(row.margin, digits):>14}  "
-                f"{'yes' if row.passed else 'NO'}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def verify_variance_bound(
     spec: RecurrenceSpec,
@@ -500,7 +467,6 @@ def verify_variance_bound(
     *,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     gaussian_ns=None,
-    threads: int | None = None,
     engine: SummandTable | None = None,
 ) -> TheoremReport:
     """Run the whole verification chain up to ``n_max``.
@@ -549,7 +515,7 @@ def verify_variance_bound(
         gaussian_ns = sorted(
             {max(L + 1, n_max // 8), max(L + 1, n_max // 4), max(L + 1, n_max // 2), n_max}
         )
-    gaussian = gaussian_diagnostics(spec, gaussian_ns, engine=engine, threads=threads)
+    gaussian = gaussian_diagnostics(spec, gaussian_ns, engine=engine)
 
     report = TheoremReport(
         spec=spec,

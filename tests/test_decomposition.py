@@ -17,7 +17,6 @@ from plrs import (
     is_legal,
     parse_blocks,
     remove_second_to_last_block,
-    summand_count,
     validate_spec,
     value,
 )
@@ -200,10 +199,10 @@ def test_second_to_last_size_errors(fib):
 
 def test_summand_count():
     fib = validate_spec((1, 1))
-    assert summand_count(Decomposition(fib, (1, 0, 1, 0, 1))) == 3
+    assert Decomposition(fib, (1, 0, 1, 0, 1)).summand_count == 3
     h = validate_spec((2, 2, 0, 2))
-    assert summand_count(Decomposition(h, (1, 0, 0, 2, 0, 0, 1))) == 4
-    assert summand_count(Decomposition(fib, (1, 0, 0, 0))) == 1
+    assert Decomposition(h, (1, 0, 0, 2, 0, 0, 1)).summand_count == 4
+    assert Decomposition(fib, (1, 0, 0, 0)).summand_count == 1
 
 
 def test_illegal_construction_raises(fib):

@@ -192,13 +192,6 @@ def test_stats_memory_stays_small_at_large_n(h2202):
     assert s.variance > 0
 
 
-def test_polynomial_json_csv_round_trip(fib):
-    p = summand_polynomial(fib, 4)
-    assert p.to_json() == '{"n": 4, "coeffs": ["0", "1", "2"]}'
-    assert p.to_csv() == "k,count\n0,0\n1,1\n2,2\n"
-    assert SummandPolynomial.from_json(p.to_json()) == p
-
-
 def test_polynomial_coefficients_exceed_float_range():
     # Exactness must survive far past 2^53 and even past float overflow.
     spec = validate_spec((3, 0, 1))
@@ -244,15 +237,6 @@ def test_z_distribution_bijection_cardinality(fixture_spec):
 def test_z_distribution_index_too_small(fixture_spec):
     with pytest.raises(IndexTooSmall):
         z_distribution(fixture_spec, 2 * fixture_spec.length)
-
-
-def test_z_distribution_formats(fib):
-    zd = z_distribution(fib, 5)
-    assert zd.to_csv() == "t,length,prob\n0,1,3/5\n1,2,2/5\n"
-    assert (
-        zd.to_json()
-        == '{"n": 5, "probs": ["3/5", "2/5"], "lengths": [1, 2], "cardinality": "5"}'
-    )
 
 
 # -- conditional moments ---------------------------------------------------------

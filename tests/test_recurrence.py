@@ -11,7 +11,6 @@ from plrs import (
     SizeOutOfRange,
     TrailingCoefficientZero,
     block_catalog,
-    block_length,
     sequence_terms,
     validate_spec,
 )
@@ -167,15 +166,15 @@ def test_catalog_contracts(fixture_spec):
 
 
 def test_block_length_golden():
-    assert block_length(block_catalog(validate_spec((1, 1))), 1) == 2
-    assert block_length(block_catalog(validate_spec((2, 2, 0, 2))), 4) == 4
+    assert block_catalog(validate_spec((1, 1))).length_of(1) == 2
+    assert block_catalog(validate_spec((2, 2, 0, 2))).length_of(4) == 4
 
 
 def test_block_length_out_of_range():
     cat = block_catalog(validate_spec((1, 1)))
     for t in (-1, 2, 99):
         with pytest.raises(SizeOutOfRange):
-            block_length(cat, t)
+            cat.length_of(t)
 
 
 def test_length_one_spec_has_no_type1_blocks():

@@ -181,10 +181,7 @@ def test_verify_report_serialization():
     # exact rationals are strings, never JSON numbers
     assert isinstance(data["c"], str)
     assert isinstance(data["per_n"][0]["variance"], str)
-    csv_text = report.summary_csv()
-    assert csv_text.splitlines()[0] == "n,mean,variance,c_times_n,margin,pass"
-    assert len(csv_text.splitlines()) == 1 + len(report.per_n)
-    assert "yes" in report.summary_text()
+    assert len(data["per_n"]) == len(report.per_n)
 
 
 def test_verify_bound_violated_carries_report(monkeypatch):
@@ -225,12 +222,6 @@ def test_gaussian_kurtosis_band(fixture_spec):
 def test_gaussian_degenerate_variance(fib):
     with pytest.raises(DegenerateVariance):
         gaussian_diagnostics(fib, [1])
-
-
-def test_gaussian_threads_match_serial(fib):
-    serial = gaussian_diagnostics(fib, [20, 40, 60])
-    threaded = gaussian_diagnostics(fib, [20, 40, 60], threads=3)
-    assert serial == threaded
 
 
 def test_gaussian_empty_list(fib):
