@@ -71,6 +71,7 @@ from .ensemble import (
     SummandTable,
     ZDistribution,
     conditional_mean_check,
+    conditional_tally,
     enumerate_by_integer_walk,
     enumerate_omega,
     sample_uniform,
@@ -131,6 +132,7 @@ __all__ = [
     "summand_polynomial",
     "stats_from_polynomial",
     "z_distribution",
+    "conditional_tally",
     "conditional_mean_check",
     "sample_uniform",
     # theorem

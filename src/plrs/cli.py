@@ -13,7 +13,8 @@ Exit codes: 0 success (all checks pass), 1 verification failure (a bound
 or identity failed, or a string was judged illegal), 2 usage/config error.
 
 The enumeration cap defaults to the ``PLRS_ENUM_CAP`` environment variable
-when set; the ``--cap`` flag overrides both.
+when set; the ``--cap`` flag overrides both.  Every source of the cap that is
+set must give an integer >= 1, or the run stops with a one-line usage error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .ensemble import (
     DEFAULT_ENUM_CAP,
     SummandTable,
     conditional_mean_check,
+    conditional_tally,
     enumerate_omega,
     sample_uniform,
     z_distribution,
@@ -165,6 +167,8 @@ def _check_config_types(data: dict) -> None:
             ok, want = isinstance(val, (str, list)), "a string or a list"
         else:
             ok, want = isinstance(val, str), "a string"
+        if ok and key == "cap":
+            ok, want = val >= 1, "an integer >= 1"
         if not ok:
             raise ValueError(
                 f"config key {key!r} must be {want}, got {json.dumps(val)}"
@@ -195,8 +199,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("table", "csv", "json"):
         raise ValueError(f"unknown format {fmt!r} (choose table, csv, or json)")
 
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"--cap must be an integer >= 1, got {args.cap}")
     env_cap = os.environ.get("PLRS_ENUM_CAP")
-    cap_default = int(env_cap) if env_cap else DEFAULT_ENUM_CAP
+    cap_default = DEFAULT_ENUM_CAP
+    if env_cap:
+        try:
+            cap_default = int(env_cap)
+        except ValueError:
+            cap_default = 0  # reported below, like any other value < 1
+        if cap_default < 1:
+            raise ValueError(
+                f"environment variable PLRS_ENUM_CAP must be an integer >= 1, "
+                f"got {env_cap!r}"
+            )
 
     return RunConfig(
         coefficients=coeffs,
@@ -507,13 +523,13 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
     omega = table.term(cfg.n + 1) - table.term(cfg.n)
     skipped = omega > cfg.cap
     if not skipped:
+        tally = conditional_tally(spec, cfg.n, cap=cfg.cap)
         for t in range(spec.size):
-            lc, rc = conditional_mean_check(spec, cfg.n, t, cap=cfg.cap, engine=engine)
-            rows.append(("conditional_mean", t, lc, rc))
-            lq, rq = conditional_mean_check(
-                spec, cfg.n, t, moment=2, cap=cfg.cap, engine=engine
-            )
-            rows.append(("conditional_second", t, lq, rq))
+            for name, moment in (("conditional_mean", 1), ("conditional_second", 2)):
+                lhs, rhs = conditional_mean_check(
+                    spec, cfg.n, t, moment=moment, engine=engine, tally=tally
+                )
+                rows.append((name, t, lhs, rhs))
     ok = all(l == r for _, _, l, r in rows)
     return (0 if ok else 1), Payload(
         data=lambda: {

@@ -20,7 +20,8 @@ Counts are exact integers, probabilities and moments exact rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -47,6 +48,7 @@ __all__ = [
     "summand_polynomial",
     "stats_from_polynomial",
     "z_distribution",
+    "conditional_tally",
     "conditional_mean_check",
     "sample_uniform",
 ]
@@ -145,35 +147,45 @@ class SummandPolynomial:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Exact moments of the summand count at one index."""
+    """Exact moments of the summand count at one index.
+
+    ``raw_sums`` holds the integer sums ``A_j = sum_k k^j * count_k``,
+    j = 0..4, that every moment is built from; with the cardinality
+    ``A_0`` they determine the moments and back, so equality of two stats
+    compares all four.  ``mean`` and ``variance`` are built up front;
+    ``central3`` and ``central4``, read only by the shape diagnostics, on
+    first use.  Each moment is one fraction: an integer numerator over a
+    power of ``T = A_0``.
+    """
 
     n: int
-    cardinality: int
-    mean: Fraction
-    variance: Fraction
-    central3: Fraction
-    central4: Fraction
+    raw_sums: tuple[int, int, int, int, int]
+    mean: Fraction = field(init=False, compare=False)
+    variance: Fraction = field(init=False, compare=False)
 
+    def __post_init__(self):
+        T, s1, s2 = self.raw_sums[:3]
+        object.__setattr__(self, "mean", Fraction(s1, T))
+        object.__setattr__(self, "variance", Fraction(T * s2 - s1 * s1, T * T))
 
-def _stats_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> EnsembleStats:
-    """Moments from the raw sums ``A_j = sum_k k^j * count_k``, j = 0..4.
+    @property
+    def cardinality(self) -> int:
+        return self.raw_sums[0]
 
-    Each moment is one fraction: an integer numerator over a power of the
-    cardinality ``T = A_0``.
-    """
-    T, s1, s2, s3, s4 = sums
-    T2 = T * T
-    sq = s1 * s1
-    return EnsembleStats(
-        n,
-        T,
-        Fraction(s1, T),
-        Fraction(T * s2 - sq, T2),
-        Fraction(T2 * s3 - 3 * T * s1 * s2 + 2 * sq * s1, T2 * T),
-        Fraction(
+    @cached_property
+    def central3(self) -> Fraction:
+        T, s1, s2, s3, _ = self.raw_sums
+        T2 = T * T
+        return Fraction(T2 * s3 - 3 * T * s1 * s2 + 2 * s1 * s1 * s1, T2 * T)
+
+    @cached_property
+    def central4(self) -> Fraction:
+        T, s1, s2, s3, s4 = self.raw_sums
+        T2 = T * T
+        sq = s1 * s1
+        return Fraction(
             T2 * T * s4 - 4 * T2 * s1 * s3 + 6 * T * sq * s2 - 3 * sq * sq, T2 * T2
-        ),
-    )
+        )
 
 
 def _moment_weights(
@@ -330,7 +342,7 @@ class SummandTable:
         """Exact moments at index ``n``, cached."""
         got = self._stats.get(n)
         if got is None:
-            got = self._stats[n] = _stats_from_sums(n, self._outcome_sums(n))
+            got = self._stats[n] = EnsembleStats(n, self._outcome_sums(n))
         return got
 
     def mean(self, n: int) -> Fraction:
@@ -362,7 +374,7 @@ def stats_from_polynomial(poly: SummandPolynomial) -> EnsembleStats:
         kc *= k
         r3 += kc
         r4 += kc * k
-    return _stats_from_sums(poly.n, (total, r1, r2, r3, r4))
+    return EnsembleStats(poly.n, (total, r1, r2, r3, r4))
 
 
 @dataclass(frozen=True)
@@ -435,6 +447,34 @@ def z_distribution(
     return ZDistribution(n, probs, catalog.length_table, omega, counts)
 
 
+def conditional_tally(
+    spec: RecurrenceSpec, n: int, *, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[tuple[int, int, int], ...]:
+    """Tally the space at index n by second-to-last block size, in one walk.
+
+    Entry t is ``(count, sum K, sum K^2)`` over the outcomes whose
+    second-to-last block has size t.  Raises :class:`CapExceeded` when the
+    space holds more than ``cap`` outcomes.
+    """
+    L = spec.length
+    if n <= 2 * L:
+        raise IndexTooSmall(f"need n > 2L = {2 * L}, got {n}")
+    table = SequenceTable(spec)
+    omega = table.term(n + 1) - table.term(n)
+    if omega > cap:
+        raise CapExceeded(omega, cap)
+    count = [0] * spec.size
+    s1 = [0] * spec.size
+    s2 = [0] * spec.size
+    for d in enumerate_omega(spec, n):
+        t = second_to_last_block_size(spec, d.coefficients)
+        k = d.summand_count
+        count[t] += 1
+        s1[t] += k
+        s2[t] += k * k
+    return tuple(zip(count, s1, s2))
+
+
 def conditional_mean_check(
     spec: RecurrenceSpec,
     n: int,
@@ -443,6 +483,7 @@ def conditional_mean_check(
     moment: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
     engine: SummandTable | None = None,
+    tally: tuple[tuple[int, int, int], ...] | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Conditional moment of the summand count, two independent ways.
 
@@ -454,7 +495,9 @@ def conditional_mean_check(
         moment 1:  E[K_r] + t
         moment 2:  E[K_r^2] + 2 t E[K_r] + t^2
 
-    Both sides are exact rationals and must be equal.
+    Both sides are exact rationals and must be equal.  Pass the
+    :func:`conditional_tally` of index n as ``tally`` to check every size
+    and moment from one enumeration.
     """
     L = spec.length
     if n <= 2 * L:
@@ -463,26 +506,15 @@ def conditional_mean_check(
         raise SizeOutOfRange(f"block size {t} outside [0, {spec.size - 1}]")
     if moment not in (1, 2):
         raise ValueError("moment must be 1 or 2")
-    catalog = block_catalog(spec)
-    table = SequenceTable(spec)
-    omega = table.term(n + 1) - table.term(n)
-    if omega > cap:
-        raise CapExceeded(omega, cap)
-
-    count = 0
-    acc = 0
-    for d in enumerate_omega(spec, n):
-        if second_to_last_block_size(spec, d.coefficients) != t:
-            continue
-        count += 1
-        k = d.summand_count
-        acc += k if moment == 1 else k * k
+    if tally is None:
+        tally = conditional_tally(spec, n, cap=cap)
+    count = tally[t][0]
     if count == 0:
         raise EmptyConditionalEvent(f"no outcome at n={n} has block size {t}")
-    lhs = Fraction(acc, count)
+    lhs = Fraction(tally[t][moment], count)
 
     engine = engine if engine is not None else SummandTable(spec)
-    r = n - catalog.length_of(t)
+    r = n - block_catalog(spec).length_of(t)
     if moment == 1:
         rhs = engine.mean(r) + t
     else:

@@ -38,6 +38,7 @@ from .ensemble import SummandTable, z_distribution
 from .errors import (
     BoundViolated,
     DegenerateVariance,
+    IndexTooSmall,
     MissingFValue,
     NonPositiveC,
     NoThresholdInRange,
@@ -45,7 +46,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .rationals import decimal_str, format_fraction, round_to_bits
-from .recurrence import RecurrenceSpec, SequenceTable
+from .recurrence import RecurrenceSpec, SequenceTable, block_catalog
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -106,8 +107,12 @@ def estimate_growth(
 
     The slope is the last first difference of the exact means,
     ``E[K_{n_max}] - E[K_{n_max - 1}]``; the intercept averages
-    ``E[K_n] - a*n`` over the top quarter of the window.  Both are rounded
-    to ``precision_bits`` bits, after which the residual table is exact.
+    ``E[K_n] - a*n`` over the top quarter of the window, as
+    ``(sum of the means - a * sum of the n) / width``.  The means have
+    pairwise different denominators, so they are added in a balanced
+    pairwise tree, which keeps the operands of every addition of similar
+    size.  Both estimates are rounded to ``precision_bits`` bits, after
+    which the residual table is exact.
     """
     L = spec.length
     if n_max < 4 * L + 8:
@@ -122,10 +127,8 @@ def estimate_growth(
 
     width = max(2, n_max // 4)
     window = (n_max - width + 1, n_max)
-    b_exact = sum(
-        (means[n - 1] - a_est * n for n in range(window[0], window[1] + 1)),
-        Fraction(0),
-    ) / width
+    index_sum = (window[0] + window[1]) * width // 2
+    b_exact = (_pairwise_sum(means[window[0] - 1 :]) - a_est * index_sum) / width
     b_est = round_to_bits(b_exact, precision_bits)
 
     f_values = tuple(
@@ -134,6 +137,16 @@ def estimate_growth(
     return GrowthEstimate(
         spec, n_max, precision_bits, a_est, b_est, f_values, window, gap
     )
+
+
+def _pairwise_sum(values: list[Fraction]) -> Fraction:
+    """Exact sum of a non-empty list, added in a balanced binary tree."""
+    while len(values) > 1:
+        paired = [a + b for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
 
 
 def y_statistics(
@@ -145,27 +158,71 @@ def y_statistics(
 ) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the centered block statistic at index n.
 
-    The statistic weighs each second-to-last block size t by its exact
-    probability and evaluates ``t + f(n - len(t)) - a*len(t)``.  Its mean
+    The statistic weighs each second-to-last block size t, of length
+    ``l = len(t)``, by its exact probability ``T_r / T_n`` (``r = n - l``,
+    ``T_m = H_{m+1} - H_m``) and evaluates ``t + f(r) - a*l``.  Its mean
     must equal ``f(n)`` identically (that is the removal identity in
     disguise); a mismatch means the distribution engine is broken, so it
     raises rather than returning.
+
+    Everything stays an integer until the variance.  With ``a = alpha/D``
+    and ``b = beta/D`` over a power of two D, ``F_m = D * T_m * f(m)`` is an
+    integer, and size t contributes ``N_t / (D * T_r)`` with the integer
+    ``N_t = T_r * (D*t - alpha*l) + F_r``.  Then
+
+        mean check:  sum_t N_t == F_n
+        Var[Y_n] = (sum_l G_l / T_r - F_n^2 / T_n) / (D^2 * T_n),
+
+    where ``G_l`` sums ``N_t^2`` over the sizes of length l.  Per length,
+    both sums follow from the size count and the sums of t and t^2 of that
+    length, and the variance is reduced once, as one fraction.
     """
-    zd = z_distribution(spec, n, table=table, cross_check=False)
-    a = growth.a_est
-    ey = Fraction(0)
-    ey2 = Fraction(0)
-    for t, p in enumerate(zd.probs):
-        ell = zd.lengths[t]
-        y = t + growth.f(n - ell) - a * ell
-        ey += p * y
-        ey2 += p * y * y
-    if ey != growth.f(n):
+    L = spec.length
+    if n <= 2 * L:
+        raise IndexTooSmall(f"need n > 2L = {2 * L}, got {n}")
+    table = table if table is not None else SequenceTable(spec)
+    a, b = growth.a_est, growth.b_est
+    D = math.lcm(a.denominator, b.denominator)  # a power of two
+    alpha = a.numerator * (D // a.denominator)
+
+    def weight(m: int) -> int:
+        return table.term(m + 1) - table.term(m)
+
+    def scaled_f(m: int, T: int) -> int | Fraction:
+        f = growth.f(m)
+        F, rem = divmod(D * T * f.numerator, f.denominator)
+        return Fraction(D * T * f.numerator, f.denominator) if rem else F
+
+    Tn = weight(n)
+    Fn = scaled_f(n, Tn)
+    mean_sum = 0
+    parts = []  # (G_l, T_r) per block length
+    for ell, (k, s1, s2) in _size_sums_by_length(spec):
+        Tr = weight(n - ell)
+        step = D * Tr  # N_t = step * t + base
+        base = scaled_f(n - ell, Tr) - alpha * ell * Tr
+        mean_sum += step * s1 + k * base
+        parts.append((step * (step * s2 + 2 * base * s1) + k * base * base, Tr))
+    if mean_sum != Fn:
         raise PlrsError(
             f"mean of the centered block statistic at n={n} is not f(n); "
             "the distribution engine and the residual table disagree"
         )
-    return ey, ey2 - ey * ey
+    den = Tn * math.prod(Tr for _, Tr in parts)
+    num = sum(G * (den // Tr) for G, Tr in parts) - Fn * Fn * (den // Tn)
+    return growth.f(n), Fraction(num, D * D * Tn * den)
+
+
+def _size_sums_by_length(
+    spec: RecurrenceSpec,
+) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    """Per type-2 block length l: the count of sizes of length l and the sums
+    of t and t^2 over them, shortest length first."""
+    sums: dict[int, tuple[int, int, int]] = {}
+    for t, ell in enumerate(block_catalog(spec).length_table):
+        k, s1, s2 = sums.get(ell, (0, 0, 0))
+        sums[ell] = (k + 1, s1 + t, s2 + t * t)
+    return tuple(sorted(sums.items()))
 
 
 def _y_variance_sweep(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from plrs import validate_spec
 
@@ -27,3 +27,14 @@ def fib():
 @pytest.fixture
 def h2202():
     return validate_spec((2, 2, 0, 2))
+
+
+# Random valid specs: L <= 6, c_i <= 4, zeros in the middle allowed, and the
+# base-k systems (k,).
+_POSITIVE = st.integers(min_value=1, max_value=4)
+RANDOM_SPECS = st.one_of(
+    st.integers(min_value=2, max_value=4).map(lambda k: (k,)),
+    st.tuples(
+        _POSITIVE, st.lists(st.integers(min_value=0, max_value=4), max_size=4), _POSITIVE
+    ).map(lambda p: (p[0], *p[1], p[2])),
+)

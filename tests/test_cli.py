@@ -200,6 +200,47 @@ def test_env_cap_respected(monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "env, flag, source",
+    [
+        (None, "-4", "--cap"),
+        (None, "0", "--cap"),
+        ("-5", None, "PLRS_ENUM_CAP"),
+        ("0", None, "PLRS_ENUM_CAP"),
+        ("abc", None, "PLRS_ENUM_CAP"),
+        ("abc", "500", "PLRS_ENUM_CAP"),
+    ],
+)
+def test_cap_below_one_exits_2(monkeypatch, capsys, env, flag, source):
+    if env is None:
+        monkeypatch.delenv("PLRS_ENUM_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PLRS_ENUM_CAP", env)
+    argv = ["--coeffs", "1,1"] + (["--cap", flag] if flag else []) + ["identities", "5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("plrs: error: ") and source in err
+    assert len(err.splitlines()) == 1
+
+
+def test_identities_enumerate_the_space_once(monkeypatch, capsys):
+    import plrs.ensemble
+
+    walks = []
+    real = plrs.ensemble.enumerate_omega
+
+    def counting(spec, n):
+        walks.append(n)
+        return real(spec, n)
+
+    monkeypatch.setattr(plrs.ensemble, "enumerate_omega", counting)
+    code, out, _ = run(capsys, "--coeffs", "2,2,0,2", "--format", "csv", "identities", "9")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 + 2 * 6
+    assert walks == [9]
+
+
 # -- output file -----------------------------------------------------------------
 
 def test_output_to_file(tmp_path, capsys):
@@ -239,11 +280,13 @@ def test_usage_errors(capsys):
         {"coefficients": "1,1", "subcommand": "stats", "n": 4, "precision_bits": False},
         {"coefficients": [1, 1], "subcommand": "sample", "n": 5, "seed": 1, "sample_count": 3},
         {"coefficients": "1,1", "subcommand": "gauss", "threads": 2},
+        {"coefficients": "1,1", "subcommand": "identities", "n": 5, "cap": 0},
+        {"coefficients": "1,1", "subcommand": "identities", "n": 5, "cap": -5},
     ],
     ids=[
         "n-string", "n_max-string", "n-bool", "n-float", "format-int",
         "subcommand-list", "coefficients-int", "seed-string", "precision-bool",
-        "sample_count-unknown", "threads-removed",
+        "sample_count-unknown", "threads-removed", "cap-zero", "cap-negative",
     ],
 )
 def test_config_type_errors_exit_2(tmp_path, capsys, data):

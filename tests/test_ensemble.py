@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from plrs import (
     CapExceeded,
@@ -15,6 +15,7 @@ from plrs import (
     SummandPolynomial,
     SummandTable,
     conditional_mean_check,
+    conditional_tally,
     enumerate_by_integer_walk,
     enumerate_omega,
     parse_blocks,
@@ -26,6 +27,8 @@ from plrs import (
     verify_variance_bound,
     z_distribution,
 )
+
+from conftest import RANDOM_SPECS
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -144,17 +147,6 @@ def test_stats_invariants(fixture_spec):
         assert s.cardinality == table.term(n + 1) - table.term(n)
 
 
-# Random valid specs: L <= 6, c_i <= 4, zeros in the middle allowed, and the
-# base-k systems (k,).
-_POSITIVE = st.integers(min_value=1, max_value=4)
-RANDOM_SPECS = st.one_of(
-    st.integers(min_value=2, max_value=4).map(lambda k: (k,)),
-    st.tuples(
-        _POSITIVE, st.lists(st.integers(min_value=0, max_value=4), max_size=4), _POSITIVE
-    ).map(lambda p: (p[0], *p[1], p[2])),
-)
-
-
 @given(RANDOM_SPECS)
 def test_moment_engine_matches_polynomial_dp(coeffs):
     spec = validate_spec(coeffs)
@@ -163,6 +155,8 @@ def test_moment_engine_matches_polynomial_dp(coeffs):
         expected = stats_from_polynomial(engine.polynomial(n))
         got = engine.stats(n)
         assert got == expected
+        assert got.central3 == expected.central3
+        assert got.central4 == expected.central4
         assert engine.second_raw_moment(n) == got.variance + got.mean**2
 
 
@@ -268,6 +262,25 @@ def test_conditional_moments_exact(coeffs, ns):
                 assert lhs == rhs, (coeffs, n, t, moment)
 
 
+def test_conditional_tally_serves_every_check(fixture_spec):
+    spec = fixture_spec
+    n = 2 * spec.length + 1
+    expected = [[0, 0, 0] for _ in range(spec.size)]
+    for d in enumerate_omega(spec, n):
+        row = expected[parse_blocks(spec, d).blocks[-2].size]
+        row[0] += 1
+        row[1] += d.summand_count
+        row[2] += d.summand_count**2
+    tally = conditional_tally(spec, n)
+    assert tally == tuple(map(tuple, expected))
+    engine = SummandTable(spec)
+    for t in range(spec.size):
+        for moment in (1, 2):
+            assert conditional_mean_check(
+                spec, n, t, moment=moment, engine=engine, tally=tally
+            ) == conditional_mean_check(spec, n, t, moment=moment, engine=engine)
+
+
 def test_conditional_check_errors(fib):
     with pytest.raises(IndexTooSmall):
         conditional_mean_check(fib, 4, 0)
@@ -277,6 +290,10 @@ def test_conditional_check_errors(fib):
         conditional_mean_check(fib, 5, 0, moment=3)
     with pytest.raises(CapExceeded):
         conditional_mean_check(fib, 30, 0, cap=10)
+    with pytest.raises(CapExceeded):
+        conditional_tally(fib, 30, cap=10)
+    with pytest.raises(IndexTooSmall):
+        conditional_tally(fib, 4)
 
 
 # -- sampling --------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from plrs import (
     ConstantChoice,
@@ -23,10 +24,12 @@ from plrs import (
     validate_spec,
     verify_variance_bound,
     y_statistics,
+    z_distribution,
 )
 from plrs.errors import BoundViolated
+from plrs.rationals import round_to_bits
 
-from conftest import FIXTURE_COEFFS
+from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
 
 # -- growth estimation ----------------------------------------------------------
@@ -89,6 +92,32 @@ def test_y_statistics_errors(fib):
         y_statistics(fib, 4, growth)
     with pytest.raises(MissingFValue):
         y_statistics(fib, 41, growth)
+
+
+def _reference_y_statistics(spec, n, growth):
+    """The statistic summed size by size over the block-size probabilities."""
+    zd = z_distribution(spec, n, cross_check=False)
+    ey = ey2 = Fraction(0)
+    for t, p in enumerate(zd.probs):
+        ell = zd.lengths[t]
+        y = t + growth.f(n - ell) - growth.a_est * ell
+        ey += p * y
+        ey2 += p * y * y
+    return ey, ey2 - ey * ey
+
+
+@given(RANDOM_SPECS)
+def test_integer_sweep_matches_fraction_reference(coeffs):
+    spec = validate_spec(coeffs)
+    engine = SummandTable(spec)
+    growth = estimate_growth(spec, 60, engine=engine)
+    lo, hi = growth.window
+    b_fold = sum(
+        (engine.mean(n) - growth.a_est * n for n in range(lo, hi + 1)), Fraction(0)
+    ) / (hi - lo + 1)
+    assert growth.b_est == round_to_bits(b_fold, growth.precision_bits)
+    for n in range(2 * spec.length + 1, 61):
+        assert y_statistics(spec, n, growth) == _reference_y_statistics(spec, n, growth)
 
 
 def test_find_threshold_small(fixture_spec):
