@@ -30,11 +30,11 @@ for coeffs in [(1, 1), (2, 2, 0, 2), (1, 2), (3, 0, 1)]:
           f"intercept b ~ {float(growth.b_est):.10f}")
     print(f"  differencing gap: {float(growth.convergence_gap):.3e}")
 
-    N = find_threshold_N(spec, growth, n_max)
+    N = find_threshold_N(spec, growth, n_max, engine=engine)
     bound = growth.a_est**2 / (2 * spec.size)
     print(f"  Var[Y_n] > a^2/(2S) = {float(bound):.6f} for all n > N = {N}")
     for n in (N + 1, 50, 150):
-        _, var_y = y_statistics(spec, n, growth)
+        _, var_y = y_statistics(spec, n, growth, engine=engine)
         print(f"    Var[Y_{n}] = {float(var_y):.6f}")
 
     choice = compute_c(spec, growth, N, engine=engine)

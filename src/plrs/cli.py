@@ -514,14 +514,12 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None and cfg.n >= 1, "identities needs a positive index n")
     spec = _spec(cfg)
     engine = SummandTable(spec)
-    table = SequenceTable(spec)
     rows = []
-    l1, r1 = first_moment_identity(spec, cfg.n, engine=engine, table=table)
+    l1, r1 = first_moment_identity(spec, cfg.n, engine=engine)
     rows.append(("mean", None, l1, r1))
-    l2, r2 = second_moment_identity(spec, cfg.n, engine=engine, table=table)
+    l2, r2 = second_moment_identity(spec, cfg.n, engine=engine)
     rows.append(("second_moment", None, l2, r2))
-    omega = table.term(cfg.n + 1) - table.term(cfg.n)
-    skipped = omega > cfg.cap
+    skipped = engine.stats(cfg.n).cardinality > cfg.cap
     if not skipped:
         tally = conditional_tally(spec, cfg.n, cap=cfg.cap)
         for t in range(spec.size):

@@ -207,24 +207,30 @@ class BlockParse:
 
 
 def decompose(table: SequenceTable, m: int) -> Decomposition:
-    """Greedy decomposition of the positive integer ``m``.
+    """The legal decomposition of the positive integer ``m``, greedily.
 
-    Repeatedly subtracts the largest term at or below the remaining value;
-    the table grows on demand.  The result round-trips through
-    :func:`value` and passes :func:`is_legal`.
+    Each position, largest term first, takes the largest digit that fits
+    but at most ``c_j``, j counting the positions of the current block: a
+    digit equal to ``c_j`` continues the block, a smaller one closes it.
+    (Uncapped greedy writes 8 = H_4 + H_3 for ``1,0,2``, which is not
+    legal.)  The result round-trips through :func:`value` and passes
+    :func:`is_legal`; the table grows on demand.
     """
     if m < 1:
         raise NonPositiveInput(f"no decomposition for {m}; need a positive integer")
-    n = table.extend_beyond(m)
-    H = table.terms(n)
+    H = table.terms(table.extend_beyond(m))
+    c = table.spec.coefficients
     coeffs = []
-    rem = m
-    for j in range(n - 1, -1, -1):  # H_{j+1}, largest first
-        a, rem = divmod(rem, H[j])
+    rem, j = m, 0
+    for w in reversed(H):  # H_n, largest first
+        a = rem // w
+        if a >= c[j]:
+            a, j = c[j], j + 1
+        else:
+            j = 0
+        rem -= a * w
         coeffs.append(a)
-    assert rem == 0  # H_1 = 1 always absorbs the tail
-    # greedy output is legal by the generalized Zeckendorf theorem; the
-    # legality and round-trip test sweeps re-check this against is_legal
+    assert rem == 0  # the legal length-r tails cover [0, H_{r+1}) exactly
     return Decomposition._trusted(table.spec, tuple(coeffs))
 
 

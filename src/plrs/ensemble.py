@@ -114,10 +114,10 @@ def enumerate_by_integer_walk(
 ) -> Iterator[Decomposition]:
     """Greedily decompose every integer in ``[H_n, H_{n+1})``, in order.
 
-    This is the independent oracle for :func:`enumerate_omega` and the
-    dynamic program: it never looks at the block grammar.  Raises
-    :class:`CapExceeded` when the interval holds more than ``cap`` integers
-    (pass ``cap=None`` to disable the guard).
+    The independent oracle for :func:`enumerate_omega` and the dynamic
+    program: it reads the terms and coefficients, never the block grammar.
+    Raises :class:`CapExceeded` when the interval holds more than ``cap``
+    integers (pass ``cap=None`` to disable the guard).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -188,10 +188,26 @@ class EnsembleStats:
         )
 
 
-def _moment_weights(
-    lengths: tuple[int, ...], first: int
-) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-    """Block sizes ``t >= first``, grouped by block length, as moment weights.
+def _require_three_blocks(spec: RecurrenceSpec, n: int) -> None:
+    """Past 2L every outcome has a second-to-last block, always type 2."""
+    if n <= 2 * spec.length:
+        raise IndexTooSmall(f"need n > 2L = {2 * spec.length}, got {n}")
+
+
+def _size_powers(lengths: tuple[int, ...], first: int) -> tuple:
+    """Per block length, shortest first, ``(length, (sum t^0, ..., sum t^4))``
+    over the sizes ``t >= first`` of that length."""
+    groups: dict[int, list[int]] = {}
+    for t in range(first, len(lengths)):
+        groups.setdefault(lengths[t], []).append(t)
+    return tuple(
+        (ell, tuple(sum(t**m for t in sizes) for m in range(5)))
+        for ell, sizes in sorted(groups.items())
+    )
+
+
+def _moment_weights(powers: tuple) -> tuple:
+    """The power sums of :func:`_size_powers` as moment weights.
 
     Prepending a block of size t to a string of k summands gives k + t
     summands, and ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``.  Summed over
@@ -200,20 +216,15 @@ def _moment_weights(
     ``(length, ((j, i, weight), ...))`` per length, shortest first, with
     zero weights left out.
     """
-    groups: dict[int, list[int]] = {}
-    for t in range(first, len(lengths)):
-        groups.setdefault(lengths[t], []).append(t)
-    out = []
-    for ell, sizes in sorted(groups.items()):
-        power = [sum(t**m for t in sizes) for m in range(5)]
-        terms = tuple(
+    return tuple(
+        (ell, tuple(
             (j, i, comb(j, i) * power[j - i])
             for j in range(5)
             for i in range(j + 1)
             if power[j - i]
-        )
-        out.append((ell, terms))
-    return tuple(out)
+        ))
+        for ell, power in powers
+    )
 
 
 def _shift_add(acc: list[int], src: list[int] | tuple[int, ...], t: int) -> None:
@@ -264,8 +275,9 @@ class SummandTable:
         self.catalog = block_catalog(spec)
         self._prefix_sums = [sum(spec.coefficients[:m]) for m in range(spec.length)]
         lengths = self.catalog.length_table
-        self._tail_weights = _moment_weights(lengths, 0)
-        self._first_weights = _moment_weights(lengths, 1)
+        self._tail_powers = _size_powers(lengths, 0)
+        self._tail_weights = _moment_weights(self._tail_powers)
+        self._first_weights = _moment_weights(_size_powers(lengths, 1))
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
         self._tails: list[list[int]] = []
         self._stats: dict[int, EnsembleStats] = {}
@@ -291,45 +303,33 @@ class SummandTable:
         while len(rows) <= n:
             rows.append(self._sums(self._tail_weights, len(rows)))
 
+    def _histogram(self, r: int, first: int) -> list[int]:
+        """Histogram of length-r strings with a first block of size >= first."""
+        lengths = self.catalog.length_table
+        acc: list[int] = []
+        for t in range(first, self.spec.size):
+            ell = lengths[t]
+            if ell > r:
+                break  # lengths are non-decreasing in t
+            _shift_add(acc, self._tails[r - ell], t)
+        if r < self.spec.length:
+            _shift_add(acc, (1,), self._prefix_sums[r])
+        return acc
+
     def _extend_tails(self, n: int) -> None:
         """Ensure tail polynomials up to length ``n`` exist."""
-        lengths = self.catalog.length_table
-        L = self.spec.length
         tails = self._tails
         if not tails:
             tails.append([1])
         while len(tails) <= n:
-            r = len(tails)
-            acc: list[int] = []
-            for t, ell in enumerate(lengths):
-                if ell > r:
-                    break
-                _shift_add(acc, tails[r - ell], t)
-            if r < L:
-                size = self._prefix_sums[r]
-                if len(acc) <= size:
-                    acc.extend([0] * (size + 1 - len(acc)))
-                acc[size] += 1
-            tails.append(acc)
+            tails.append(self._histogram(len(tails), 0))
 
     def polynomial(self, n: int) -> SummandPolynomial:
         """The exact summand-count histogram of index ``n``."""
         if n < 1:
             raise ValueError("n must be >= 1")
         self._extend_tails(n - 1)
-        lengths = self.catalog.length_table
-        acc: list[int] = []
-        for t in range(1, self.spec.size):
-            ell = lengths[t]
-            if ell > n:
-                break
-            _shift_add(acc, self._tails[n - ell], t)
-        if n < self.spec.length:
-            size = self._prefix_sums[n]
-            if len(acc) <= size:
-                acc.extend([0] * (size + 1 - len(acc)))
-            acc[size] += 1
-        return SummandPolynomial(n, tuple(acc))
+        return SummandPolynomial(n, tuple(self._histogram(n, 1)))
 
     def _outcome_sums(self, n: int) -> tuple[int, ...]:
         """Raw-moment sums ``A_0..A_4`` of the outcome space at index ``n``."""
@@ -337,6 +337,21 @@ class SummandTable:
             raise ValueError("n must be >= 1")
         self.extend(n - 1)
         return self._sums(self._first_weights, n)
+
+    def removal_rows(self, n: int) -> tuple:
+        """The spaces left by removing the second-to-last block at index n.
+
+        Removing a block of size t (0 included) and length l maps the
+        outcomes at ``n > 2L`` that carry it onto the space at ``r = n - l``
+        and lowers their summand counts by t.  Per length l, shortest first:
+        ``(l, (k, s1, s2), (T_r, A_1(r), A_2(r)))``, with k sizes of length
+        l summing to s1 (their squares to s2), and the raw sums at r.
+        """
+        _require_three_blocks(self.spec, n)
+        return tuple(
+            (ell, power[:3], self.stats(n - ell).raw_sums[:3])
+            for ell, power in self._tail_powers
+        )
 
     def stats(self, n: int) -> EnsembleStats:
         """Exact moments at index ``n``, cached."""
@@ -423,9 +438,7 @@ def z_distribution(
     closed form exactly.  Pass ``cross_check=False`` inside large sweeps or
     ``cross_check=True`` to force enumeration.
     """
-    L = spec.length
-    if n <= 2 * L:
-        raise IndexTooSmall(f"need n > 2L = {2 * L}, got {n}")
+    _require_three_blocks(spec, n)
     table = table if table is not None else SequenceTable(spec)
     catalog = block_catalog(spec)
     omega = table.term(n + 1) - table.term(n)
@@ -456,9 +469,7 @@ def conditional_tally(
     second-to-last block has size t.  Raises :class:`CapExceeded` when the
     space holds more than ``cap`` outcomes.
     """
-    L = spec.length
-    if n <= 2 * L:
-        raise IndexTooSmall(f"need n > 2L = {2 * L}, got {n}")
+    _require_three_blocks(spec, n)
     table = SequenceTable(spec)
     omega = table.term(n + 1) - table.term(n)
     if omega > cap:
@@ -499,9 +510,7 @@ def conditional_mean_check(
     :func:`conditional_tally` of index n as ``tally`` to check every size
     and moment from one enumeration.
     """
-    L = spec.length
-    if n <= 2 * L:
-        raise IndexTooSmall(f"need n > 2L = {2 * L}, got {n}")
+    _require_three_blocks(spec, n)
     if not 0 <= t < spec.size:
         raise SizeOutOfRange(f"block size {t} outside [0, {spec.size - 1}]")
     if moment not in (1, 2):

@@ -19,13 +19,18 @@ comparison are computed in exact rational arithmetic.  The only
 approximation error is the distance between the differenced estimate and
 the true limit slope, reported as ``convergence_gap``.
 
-Two exact identities tie the distribution at index n to the shorter
-spaces reached by deleting the second-to-last block; they avoid a and b
-entirely and are the strongest regression checks in the package:
+Deleting the second-to-last block Z_n (size t, length len(t)) maps the
+outcomes at index n that carry it onto the space at ``n - len(t)`` and
+lowers their summand counts by t.  This gives two exact identities that
+avoid a and b and are the strongest regression checks in the package:
 
     E[K_n]   = sum_t P(Z_n = t) * (E[K_{n-len(t)}] + t)
     E[K_n^2] = sum_t P(Z_n = t) * (E[K_{n-len(t)}^2]
                                    + 2 t E[K_{n-len(t)}] + t^2)
+
+and, as ``Y_n = E[K_n | Z_n] - a*n - b``, the law of total variance
+
+    Var[Y_n] = Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}].
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ensemble import SummandTable, z_distribution
+from .ensemble import SummandTable
 from .errors import (
     BoundViolated,
     DegenerateVariance,
-    IndexTooSmall,
     MissingFValue,
     NonPositiveC,
     NoThresholdInRange,
@@ -46,7 +50,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .rationals import decimal_str, format_fraction, round_to_bits
-from .recurrence import RecurrenceSpec, SequenceTable, block_catalog
+from .recurrence import RecurrenceSpec
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -154,86 +158,65 @@ def y_statistics(
     n: int,
     growth: GrowthEstimate,
     *,
-    table: SequenceTable | None = None,
+    engine: SummandTable | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the centered block statistic at index n.
 
     The statistic weighs each second-to-last block size t, of length
     ``l = len(t)``, by its exact probability ``T_r / T_n`` (``r = n - l``,
     ``T_m = H_{m+1} - H_m``) and evaluates ``t + f(r) - a*l``.  Its mean
-    must equal ``f(n)`` identically (that is the removal identity in
-    disguise); a mismatch means the distribution engine is broken, so it
-    raises rather than returning.
+    must equal ``f(n)`` (the first removal identity in disguise), or it
+    raises: the moment rows and the residual table disagree.  With
+    ``a = alpha/D`` and ``b = beta/D`` over a power of two D, the integers
+    ``F_m = D * T_m * f(m)`` must satisfy, over the rows of
+    :meth:`SummandTable.removal_rows`,
+    ``sum_l (D T_r s1 + k (F_r - alpha l T_r)) == F_n``.
 
-    Everything stays an integer until the variance.  With ``a = alpha/D``
-    and ``b = beta/D`` over a power of two D, ``F_m = D * T_m * f(m)`` is an
-    integer, and size t contributes ``N_t / (D * T_r)`` with the integer
-    ``N_t = T_r * (D*t - alpha*l) + F_r``.  Then
+    The variance is the law of total variance, free of a and b; with
+    ``P = prod_l T_r`` it is one fraction:
 
-        mean check:  sum_t N_t == F_n
-        Var[Y_n] = (sum_l G_l / T_r - F_n^2 / T_n) / (D^2 * T_n),
-
-    where ``G_l`` sums ``N_t^2`` over the sizes of length l.  Per length,
-    both sums follow from the size count and the sums of t and t^2 of that
-    length, and the variance is reduced once, as one fraction.
+        Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}]
+        = ((T_n A_2(n) - A_1(n)^2) P
+           - T_n sum_l k (T_r A_2(r) - A_1(r)^2) P/T_r) / (T_n^2 P).
     """
-    L = spec.length
-    if n <= 2 * L:
-        raise IndexTooSmall(f"need n > 2L = {2 * L}, got {n}")
-    table = table if table is not None else SequenceTable(spec)
+    engine = engine if engine is not None else SummandTable(spec)
+    rows = engine.removal_rows(n)
+    Tn, A1n, A2n = engine.stats(n).raw_sums[:3]
     a, b = growth.a_est, growth.b_est
     D = math.lcm(a.denominator, b.denominator)  # a power of two
     alpha = a.numerator * (D // a.denominator)
-
-    def weight(m: int) -> int:
-        return table.term(m + 1) - table.term(m)
 
     def scaled_f(m: int, T: int) -> int | Fraction:
         f = growth.f(m)
         F, rem = divmod(D * T * f.numerator, f.denominator)
         return Fraction(D * T * f.numerator, f.denominator) if rem else F
 
-    Tn = weight(n)
-    Fn = scaled_f(n, Tn)
-    mean_sum = 0
-    parts = []  # (G_l, T_r) per block length
-    for ell, (k, s1, s2) in _size_sums_by_length(spec):
-        Tr = weight(n - ell)
-        step = D * Tr  # N_t = step * t + base
-        base = scaled_f(n - ell, Tr) - alpha * ell * Tr
-        mean_sum += step * s1 + k * base
-        parts.append((step * (step * s2 + 2 * base * s1) + k * base * base, Tr))
-    if mean_sum != Fn:
+    mean_sum = sum(
+        D * Tr * s1 + k * (scaled_f(n - ell, Tr) - alpha * ell * Tr)
+        for ell, (k, s1, _), (Tr, _, _) in rows
+    )
+    if mean_sum != scaled_f(n, Tn):
         raise PlrsError(
             f"mean of the centered block statistic at n={n} is not f(n); "
             "the distribution engine and the residual table disagree"
         )
-    den = Tn * math.prod(Tr for _, Tr in parts)
-    num = sum(G * (den // Tr) for G, Tr in parts) - Fn * Fn * (den // Tn)
-    return growth.f(n), Fraction(num, D * D * Tn * den)
-
-
-def _size_sums_by_length(
-    spec: RecurrenceSpec,
-) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-    """Per type-2 block length l: the count of sizes of length l and the sums
-    of t and t^2 over them, shortest length first."""
-    sums: dict[int, tuple[int, int, int]] = {}
-    for t, ell in enumerate(block_catalog(spec).length_table):
-        k, s1, s2 = sums.get(ell, (0, 0, 0))
-        sums[ell] = (k + 1, s1 + t, s2 + t * t)
-    return tuple(sorted(sums.items()))
+    P = math.prod(Tr for _, _, (Tr, _, _) in rows)
+    within = sum(
+        k * (Tr * A2 - A1 * A1) * (P // Tr) for _, (k, _, _), (Tr, A1, A2) in rows
+    )
+    num = (Tn * A2n - A1n * A1n) * P - Tn * within
+    return growth.f(n), Fraction(num, Tn * Tn * P)
 
 
 def _y_variance_sweep(
     spec: RecurrenceSpec,
     growth: GrowthEstimate,
     n_max: int,
-    table: SequenceTable | None,
+    engine: SummandTable | None,
 ) -> dict[int, Fraction]:
-    table = table if table is not None else SequenceTable(spec)
+    engine = engine if engine is not None else SummandTable(spec)
     return {
-        n: y_statistics(spec, n, growth, table=table)[1]
+        n: y_statistics(spec, n, growth, engine=engine)[1]
         for n in range(2 * spec.length + 1, n_max + 1)
     }
 
@@ -256,7 +239,7 @@ def find_threshold_N(
     growth: GrowthEstimate,
     n_max: int,
     *,
-    table: SequenceTable | None = None,
+    engine: SummandTable | None = None,
 ) -> int:
     """Smallest N > 2L with ``Var[Y_n] > a^2/(2S)`` for all n in (N, n_max].
 
@@ -265,7 +248,7 @@ def find_threshold_N(
     itself, since then no threshold inside the window has a verified tail.
     """
     bound = growth.a_est**2 / (2 * spec.size)
-    variances = _y_variance_sweep(spec, growth, n_max, table)
+    variances = _y_variance_sweep(spec, growth, n_max, engine)
     return _pick_threshold(variances, bound, n_max, spec.length)
 
 
@@ -390,12 +373,23 @@ def gaussian_trend_ok(rows) -> bool:
     )
 
 
+def _removal_sums(engine: SummandTable, n: int) -> tuple[int, int, int]:
+    """``C_j``, the sum of ``K^j`` over the space at n, from the removal rows:
+    ``C_0 = sum_l k T_r``, ``C_1 = sum_l (s1 T_r + k A_1(r))`` and
+    ``C_2 = sum_l (s2 T_r + 2 s1 A_1(r) + k A_2(r))``."""
+    c0 = c1 = c2 = 0
+    for _, (k, s1, s2), (Tr, A1, A2) in engine.removal_rows(n):
+        c0 += k * Tr
+        c1 += s1 * Tr + k * A1
+        c2 += s2 * Tr + 2 * s1 * A1 + k * A2
+    return c0, c1, c2
+
+
 def first_moment_identity(
     spec: RecurrenceSpec,
     n: int,
     *,
     engine: SummandTable | None = None,
-    table: SequenceTable | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Mean at index n versus its reassembly from the shorter spaces.
 
@@ -403,16 +397,13 @@ def first_moment_identity(
     conditioned space bijectively onto the space at ``n - len(t)`` and
     drops the summand count by t, so the mean satisfies
 
-        E[K_n] = sum_t P(Z_n = t) * (E[K_{n - len(t)}] + t).
+        E[K_n] = sum_t P(Z_n = t) * (E[K_{n - len(t)}] + t) = C_1 / C_0.
 
     Returns (lhs, rhs) as exact rationals; they must be equal.
     """
     engine = engine if engine is not None else SummandTable(spec)
-    zd = z_distribution(spec, n, table=table, cross_check=False)
-    rhs = Fraction(0)
-    for t, p in enumerate(zd.probs):
-        rhs += p * (engine.mean(n - zd.lengths[t]) + t)
-    return engine.mean(n), rhs
+    c0, c1, _ = _removal_sums(engine, n)
+    return engine.mean(n), Fraction(c1, c0)
 
 
 def second_moment_identity(
@@ -420,22 +411,18 @@ def second_moment_identity(
     n: int,
     *,
     engine: SummandTable | None = None,
-    table: SequenceTable | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Second raw moment at index n versus its reassembly.
 
         E[K_n^2] = sum_t P(Z_n = t) * (E[K_{n-len(t)}^2]
                                        + 2 t E[K_{n-len(t)}] + t^2)
+                 = C_2 / C_0
 
     Returns (lhs, rhs) as exact rationals; they must be equal.
     """
     engine = engine if engine is not None else SummandTable(spec)
-    zd = z_distribution(spec, n, table=table, cross_check=False)
-    rhs = Fraction(0)
-    for t, p in enumerate(zd.probs):
-        r = n - zd.lengths[t]
-        rhs += p * (engine.second_raw_moment(r) + 2 * t * engine.mean(r) + t * t)
-    return engine.second_raw_moment(n), rhs
+    c0, _, c2 = _removal_sums(engine, n)
+    return engine.second_raw_moment(n), Fraction(c2, c0)
 
 
 @dataclass(frozen=True)
@@ -541,9 +528,8 @@ def verify_variance_bound(
     L = spec.length
     S = spec.size
     engine = engine if engine is not None else SummandTable(spec)
-    seq = SequenceTable(spec)
     growth = estimate_growth(spec, n_max, precision_bits=precision_bits, engine=engine)
-    var_y = _y_variance_sweep(spec, growth, n_max, seq)
+    var_y = _y_variance_sweep(spec, growth, n_max, engine)
     bound = growth.a_est**2 / (2 * S)
     N = _pick_threshold(var_y, bound, n_max, L)
     if n_max < N + 10:

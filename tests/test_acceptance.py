@@ -193,9 +193,9 @@ def test_criterion_06_conditional_identities(engines, tables):
         cat = block_catalog(spec)
         # exact identity sweep over the full range, zero tolerance
         for n in range(2 * L + 1, 401):
-            lhs, rhs = first_moment_identity(spec, n, engine=engine, table=table)
+            lhs, rhs = first_moment_identity(spec, n, engine=engine)
             assert lhs == rhs, (coeffs, n)
-            lhs2, rhs2 = second_moment_identity(spec, n, engine=engine, table=table)
+            lhs2, rhs2 = second_moment_identity(spec, n, engine=engine)
             assert lhs2 == rhs2, (coeffs, n)
         # enumeration cross-check of the per-size conditional moments
         for n in range(2 * L + 1, 21):
@@ -250,12 +250,12 @@ def test_criterion_08_y_variance_bound(engines, tables):
     for coeffs in SPECS:
         spec = validate_spec(coeffs)
         growth = estimate_growth(spec, 400, engine=engines[coeffs])
-        N = find_threshold_N(spec, growth, 400, table=tables[coeffs])
+        N = find_threshold_N(spec, growth, 400, engine=engines[coeffs])
         assert N <= 60, (coeffs, N)
         worst = max(worst, N)
         bound = growth.a_est**2 / (2 * spec.size)
         for n in range(N + 1, 401):
-            _, var_y = y_statistics(spec, n, growth, table=tables[coeffs])
+            _, var_y = y_statistics(spec, n, growth, engine=engines[coeffs])
             assert var_y > bound, (coeffs, n)
     _report(
         8,

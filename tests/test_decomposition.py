@@ -82,6 +82,9 @@ def test_is_legal_goldens(fib, h2202):
 def test_decompose_goldens(fib, h2202):
     assert decompose(SequenceTable(fib), 12).coefficients == (1, 0, 1, 0, 1)
     assert decompose(SequenceTable(h2202), 601).coefficients == (1, 0, 0, 2, 0, 0, 1)
+    # 8 = H_4 + H_3 is greedy but not legal for 1,0,2 (c_2 = 0 caps the digit)
+    one_zero_two = SequenceTable(validate_spec((1, 0, 2)))
+    assert decompose(one_zero_two, 8).coefficients == (1, 0, 1, 1)
 
 
 def test_decompose_unit_vectors(fixture_spec):

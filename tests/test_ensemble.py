@@ -18,8 +18,13 @@ from plrs import (
     conditional_tally,
     enumerate_by_integer_walk,
     enumerate_omega,
+    estimate_growth,
+    find_threshold_N,
+    first_moment_identity,
+    is_legal,
     parse_blocks,
     sample_uniform,
+    second_moment_identity,
     stats_from_polynomial,
     summand_polynomial,
     validate_spec,
@@ -61,6 +66,21 @@ def test_enumerators_agree(fixture_spec):
         grammar = {d.coefficients for d in enumerate_omega(fixture_spec, n)}
         walk = {d.coefficients for d in enumerate_by_integer_walk(table, n)}
         assert grammar == walk
+
+
+@given(RANDOM_SPECS)
+def test_enumerators_agree_on_random_specs(coeffs):
+    # Every index whose space holds at most 500 outcomes.
+    spec = validate_spec(coeffs)
+    table = SequenceTable(spec)
+    n = 1
+    while (width := table.term(n + 1) - table.term(n)) <= 500:
+        grammar = [d.coefficients for d in enumerate_omega(spec, n)]
+        assert len(grammar) == width, n
+        assert all(is_legal(spec, c) for c in grammar), n
+        walk = {d.coefficients for d in enumerate_by_integer_walk(table, n)}
+        assert set(grammar) == walk, n
+        n += 1
 
 
 def test_cardinality_four_ways(fixture_spec):
@@ -168,6 +188,13 @@ def test_statistics_never_build_tail_polynomials(fixture_spec):
     assert engine._tails == []
     engine = SummandTable(fixture_spec)
     verify_variance_bound(fixture_spec, 200, engine=engine)
+    assert engine._tails == []
+    engine = SummandTable(fixture_spec)
+    for n in range(2 * fixture_spec.length + 1, 201):
+        first_moment_identity(fixture_spec, n, engine=engine)
+        second_moment_identity(fixture_spec, n, engine=engine)
+    growth = estimate_growth(fixture_spec, 200, engine=engine)
+    find_threshold_N(fixture_spec, growth, 200, engine=engine)
     assert engine._tails == []
 
 

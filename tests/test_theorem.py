@@ -13,6 +13,7 @@ from plrs import (
     MissingFValue,
     NoThresholdInRange,
     PlrsError,
+    SequenceTable,
     SummandTable,
     WindowTooSmall,
     compute_c,
@@ -184,6 +185,34 @@ def test_removal_identities_exact(fixture_spec):
         assert lhs == rhs, n
         lhs2, rhs2 = second_moment_identity(fixture_spec, n, engine=engine)
         assert lhs2 == rhs2, n
+
+
+def _reference_removal_moments(spec, n, engine, table):
+    """Both removal right sides, summed size by size over the block-size
+    probabilities of the closed form."""
+    zd = z_distribution(spec, n, table=table, cross_check=False)
+    m1 = m2 = Fraction(0)
+    for t, p in enumerate(zd.probs):
+        r = n - zd.lengths[t]
+        m1 += p * (engine.mean(r) + t)
+        m2 += p * (engine.second_raw_moment(r) + 2 * t * engine.mean(r) + t * t)
+    return m1, m2
+
+
+@given(RANDOM_SPECS)
+def test_removal_identities_match_size_by_size_reference(coeffs):
+    spec = validate_spec(coeffs)
+    engine = SummandTable(spec)
+    table = SequenceTable(spec)
+    with pytest.raises(IndexTooSmall):
+        engine.removal_rows(2 * spec.length)
+    for n in range(2 * spec.length + 1, 41):
+        lhs1, rhs1 = first_moment_identity(spec, n, engine=engine)
+        lhs2, rhs2 = second_moment_identity(spec, n, engine=engine)
+        assert lhs1 == rhs1 and lhs2 == rhs2, n
+        assert (rhs1, rhs2) == _reference_removal_moments(spec, n, engine, table), n
+        c0 = sum(k * Tr for _, (k, _, _), (Tr, _, _) in engine.removal_rows(n))
+        assert c0 == table.term(n + 1) - table.term(n), n
 
 
 # -- full verification ---------------------------------------------------------------
