@@ -13,7 +13,11 @@ The parse is deterministic: starting at any position, coefficients are
 matched against the prefix ``c_1, c_2, ...`` until the first strict drop
 (type-2 block ends there) or the end of the string (type-1 block).  A
 coefficient above its ``c_i``, or a full ``L``-long match with no drop,
-means the string is illegal at that point.
+means the string is illegal at that point.  One scanner, ``_scan``, does
+this walk and returns the offset just past each block; legality checks
+read only its verdict, and :func:`parse_blocks`,
+:func:`second_to_last_block_size` and the block surgery slice the string
+at those offsets.
 """
 
 from __future__ import annotations
@@ -62,50 +66,72 @@ class LegalityResult:
 
 
 def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool):
-    """Parse ``coeffs`` into blocks.
+    """Split ``coeffs`` into blocks; the one parse every reader shares.
 
-    Returns ``(blocks, None)`` on success or ``(None, LegalityResult)`` on
-    failure.  Positions in failures are 0-based indices into ``coeffs``.
+    Returns ``(ends, None)`` on success, where ``ends[i]`` is the offset
+    just past block i (so ``ends[-1] == len(coeffs)``), or
+    ``(None, LegalityResult)`` on failure.  Positions in failures are
+    0-based indices into ``coeffs``.
     """
-    c = spec.coefficients
-    L = spec.length
     n = len(coeffs)
     if n == 0:
         return None, LegalityResult(False, "empty coefficient string", None)
-    for i, a in enumerate(coeffs):
-        if a < 0:
-            return None, LegalityResult(False, "negative coefficient", i)
+    if min(coeffs) < 0:
+        first = next(i for i, a in enumerate(coeffs) if a < 0)
+        return None, LegalityResult(False, "negative coefficient", first)
     if require_positive_leading and coeffs[0] < 1:
         return None, LegalityResult(False, "leading coefficient must be positive", 0)
 
-    blocks: list[Block] = []
+    ends: list[int] = []
     pos = 0
     while pos < n:
-        i = 0
-        while True:
-            if i == L:
+        end = pos
+        for c in spec.coefficients:
+            if end == n:
+                break  # the string ends mid-prefix: a type-1 block closes it
+            a = coeffs[end]
+            if a > c:
                 return None, LegalityResult(
-                    False,
-                    "matches the full coefficient prefix with no strict drop",
-                    pos,
+                    False, "coefficient exceeds the recurrence coefficient", end
                 )
-            if pos + i == n:
-                # String ends mid-prefix: a type-1 block (length i < L).
-                blocks.append(Block(BlockKind.TYPE1, tuple(coeffs[pos:])))
-                return blocks, None
-            a = coeffs[pos + i]
-            if a > c[i]:
-                return None, LegalityResult(
-                    False, "coefficient exceeds the recurrence coefficient", pos + i
-                )
-            if a < c[i]:
-                blocks.append(
-                    Block(BlockKind.TYPE2, tuple(coeffs[pos : pos + i + 1]))
-                )
-                pos += i + 1
-                break
-            i += 1
-    return blocks, None
+            end += 1
+            if a < c:
+                break  # the first strict drop closes a type-2 block
+        else:
+            return None, LegalityResult(
+                False, "matches the full coefficient prefix with no strict drop", pos
+            )
+        ends.append(end)
+        pos = end
+    return ends, None
+
+
+def _illegal(failure: LegalityResult) -> IllegalDecomposition:
+    """The error for a failed scan: its reason and, if known, position."""
+    where = f" (position {failure.position})" if failure.position is not None else ""
+    return IllegalDecomposition(f"{failure.reason}{where}")
+
+
+def _block_ends(spec: RecurrenceSpec, coeffs) -> list[int]:
+    """Block end offsets of a string that must parse (leading zeros allowed)."""
+    ends, failure = _scan(spec, coeffs, require_positive_leading=False)
+    if failure is not None:
+        raise _illegal(failure)
+    return ends
+
+
+def _decomposition_ends(spec: RecurrenceSpec, d: Decomposition) -> list[int]:
+    """Block end offsets of a decomposition of ``spec``."""
+    if d.spec != spec:
+        raise SpecMismatch("decomposition belongs to a different spec")
+    return _block_ends(spec, d.coefficients)
+
+
+def _second_to_last(ends: list[int]) -> tuple[int, int]:
+    """Start and end offsets of the second-to-last block."""
+    if len(ends) < 2:
+        raise TooFewBlocks("need at least two blocks")
+    return (ends[-3] if len(ends) > 2 else 0), ends[-2]
 
 
 def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
@@ -144,10 +170,7 @@ class Decomposition:
             self.spec, self.coefficients, require_positive_leading=require_proper
         )
         if failure is not None:
-            raise IllegalDecomposition(
-                f"{failure.reason}"
-                + (f" (position {failure.position})" if failure.position is not None else "")
-            )
+            raise _illegal(failure)
 
     @classmethod
     def _trusted(cls, spec: RecurrenceSpec, coefficients: tuple[int, ...]):
@@ -245,60 +268,32 @@ def value(table: SequenceTable, d: Decomposition) -> int:
 
 
 def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
-    """Split a decomposition into its unique block sequence."""
-    if d.spec != spec:
-        raise SpecMismatch("decomposition belongs to a different spec")
-    blocks, failure = _scan(spec, d.coefficients, require_positive_leading=False)
-    if failure is not None:  # pragma: no cover - constructor already validated
-        raise IllegalDecomposition(failure.reason or "illegal decomposition")
+    """Split a decomposition into its unique block sequence.
+
+    Every block but a closing type-1 one ends on a strict drop, so a block
+    is type 2 exactly when its last coefficient is below its ``c_i``.
+    """
+    c = spec.coefficients
+    a = d.coefficients
+    ends = _decomposition_ends(spec, d)
+    blocks = []
+    for start, end in zip((0, *ends), ends):
+        run = a[start:end]
+        kind = BlockKind.TYPE2 if run[-1] < c[len(run) - 1] else BlockKind.TYPE1
+        blocks.append(Block(kind, run))
     return BlockParse(tuple(blocks))
 
 
 def second_to_last_block_size(spec: RecurrenceSpec, coefficients) -> int:
-    """Size of the second-to-last block of a legal string, without building
-    the block objects.
+    """Size of the second-to-last block of a string that parses.
 
-    Streaming-friendly version of ``parse_blocks(...).blocks[-2].size`` for
-    tallies over whole outcome spaces; the two agree by the parse/serialize
-    contract (tested over full enumerations).  Raises
+    Equals ``parse_blocks(...).blocks[-2].size``, summed straight from the
+    block offsets.  Leading zeros are allowed.  Raises
     :class:`TooFewBlocks` on single-block strings and
     :class:`IllegalDecomposition` on strings that do not parse.
     """
-    c = spec.coefficients
-    L = spec.length
-    n = len(coefficients)
-    prev_size = -1
-    last_size = -1
-    pos = 0
-    while pos < n:
-        i = 0
-        size = 0
-        while True:
-            if i == L:
-                raise IllegalDecomposition(
-                    f"matches the full coefficient prefix with no strict drop "
-                    f"(position {pos})"
-                )
-            if pos + i == n:  # type-1 block closes the string
-                return _second_of(last_size)
-            a = coefficients[pos + i]
-            if a > c[i]:
-                raise IllegalDecomposition(
-                    f"coefficient exceeds the recurrence coefficient (position {pos + i})"
-                )
-            size += a
-            if a < c[i]:
-                prev_size, last_size = last_size, size
-                pos += i + 1
-                break
-            i += 1
-    return _second_of(prev_size)
-
-
-def _second_of(prev_size: int) -> int:
-    if prev_size < 0:
-        raise TooFewBlocks("need at least two blocks")
-    return prev_size
+    start, end = _second_to_last(_block_ends(spec, coefficients))
+    return sum(coefficients[start:end])
 
 
 def remove_second_to_last_block(
@@ -313,17 +308,11 @@ def remove_second_to_last_block(
     padded (non-proper) result; with three or more blocks the leading block
     is untouched.
     """
-    parse = parse_blocks(spec, d)
-    if len(parse.blocks) < 2:
-        raise TooFewBlocks("need at least two blocks to remove the second to last")
-    removed = parse.blocks[-2]
-    kept = parse.blocks[:-2] + (parse.blocks[-1],)
-    coeffs: list[int] = []
-    for b in kept:
-        coeffs.extend(b.coefficients)
+    start, end = _second_to_last(_decomposition_ends(spec, d))
+    a = d.coefficients
     return (
-        Decomposition(spec, tuple(coeffs), require_proper=False),
-        removed.size,
+        Decomposition(spec, a[:start] + a[end:], require_proper=False),
+        sum(a[start:end]),
     )
 
 
@@ -339,12 +328,8 @@ def insert_block_before_last(
     """
     if not 0 <= t < spec.size:
         raise SizeOutOfRange(f"block size {t} outside [0, {spec.size - 1}]")
-    catalog = block_catalog(spec)
-    parse = parse_blocks(spec, d)
-    new_block = catalog.type2_by_size[t]
-    coeffs: list[int] = []
-    for b in parse.blocks[:-1]:
-        coeffs.extend(b.coefficients)
-    coeffs.extend(new_block.coefficients)
-    coeffs.extend(parse.blocks[-1].coefficients)
-    return Decomposition(spec, tuple(coeffs), require_proper=False)
+    ends = _decomposition_ends(spec, d)
+    last = ends[-2] if len(ends) > 1 else 0
+    a = d.coefficients
+    block = block_catalog(spec).type2_by_size[t].coefficients
+    return Decomposition(spec, a[:last] + block + a[last:], require_proper=False)

@@ -77,36 +77,35 @@ def enumerate_omega(spec: RecurrenceSpec, n: int) -> Iterator[Decomposition]:
     lengths = catalog.length_table
     L = spec.length
     prefix_sums = [sum(spec.coefficients[:m]) for m in range(L)]
-    coeffs: list[int] = []
 
-    def choices(remaining: int, first: bool):
+    def choices(remaining: int, first: bool) -> Iterator[tuple[int, ...]]:
+        """The blocks that can start a rest of this length, in walk order."""
         out = []
         for t in range(1 if first else 0, spec.size):
             if lengths[t] > remaining:
                 break  # lengths are non-decreasing in t
-            out.append((t, 2))
+            out.append((t, 2, catalog.type2_by_size[t].coefficients))
         if 1 <= remaining < L:
-            out.append((prefix_sums[remaining], 1))
+            block = catalog.type1_blocks[remaining - 1].coefficients
+            out.append((prefix_sums[remaining], 1, block))
         out.sort()
-        return out
+        return iter([block for _, _, block in out])
 
-    def walk(remaining: int, first: bool):
-        for size, kind in choices(remaining, first):
-            if kind == 1:
-                block = catalog.type1_blocks[remaining - 1]
-                coeffs.extend(block.coefficients)
-                yield Decomposition._trusted(spec, tuple(coeffs))
-                del coeffs[-block.length :]
-                continue
-            block = catalog.type2_by_size[size]
-            coeffs.extend(block.coefficients)
-            if block.length == remaining:
-                yield Decomposition._trusted(spec, tuple(coeffs))
+    # Depth-first over the block sequence with an explicit stack, so deep
+    # strings (a long run of short blocks) never hit the recursion limit.
+    # Each entry holds the string so far and the blocks still to try after it.
+    stack = [((), choices(n, True))]
+    while stack:
+        head, pending = stack[-1]
+        for block in pending:
+            coeffs = head + block
+            if len(coeffs) == n:
+                yield Decomposition._trusted(spec, coeffs)
             else:
-                yield from walk(remaining - block.length, False)
-            del coeffs[-block.length :]
-
-    yield from walk(n, True)
+                stack.append((coeffs, choices(n - len(coeffs), False)))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_by_integer_walk(
@@ -331,13 +330,6 @@ class SummandTable:
         self._extend_tails(n - 1)
         return SummandPolynomial(n, tuple(self._histogram(n, 1)))
 
-    def _outcome_sums(self, n: int) -> tuple[int, ...]:
-        """Raw-moment sums ``A_0..A_4`` of the outcome space at index ``n``."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.extend(n - 1)
-        return self._sums(self._first_weights, n)
-
     def removal_rows(self, n: int) -> tuple:
         """The spaces left by removing the second-to-last block at index n.
 
@@ -357,14 +349,18 @@ class SummandTable:
         """Exact moments at index ``n``, cached."""
         got = self._stats.get(n)
         if got is None:
-            got = self._stats[n] = EnsembleStats(n, self._outcome_sums(n))
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            self.extend(n - 1)
+            sums = self._sums(self._first_weights, n)
+            got = self._stats[n] = EnsembleStats(n, sums)
         return got
 
     def mean(self, n: int) -> Fraction:
         return self.stats(n).mean
 
     def second_raw_moment(self, n: int) -> Fraction:
-        sums = self._outcome_sums(n)
+        sums = self.stats(n).raw_sums
         return Fraction(sums[2], sums[0])
 
 
@@ -448,10 +444,9 @@ def z_distribution(
     )
     counts = None
     if cross_check or (cross_check is None and omega <= cap):
-        tally = [0] * spec.size
-        for d in enumerate_omega(spec, n):
-            tally[second_to_last_block_size(spec, d.coefficients)] += 1
-        counts = tuple(tally)
+        # enumeration is decided here, and a forced check ignores the cap
+        tally = conditional_tally(spec, n, cap=omega)
+        counts = tuple(count for count, _, _ in tally)
         if any(Fraction(c, omega) != p for c, p in zip(counts, probs)):
             raise PlrsError(
                 f"empirical second-to-last block tally at n={n} disagrees "

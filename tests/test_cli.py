@@ -110,6 +110,14 @@ def test_identities(capsys):
     assert "false" not in out
 
 
+def test_identities_on_deep_strings(capsys):
+    # Most outcomes hold about a thousand blocks: the grammar walk must not recurse.
+    coeffs = ",".join(["1"] + ["0"] * 998 + ["1"])
+    code, out, _ = run(capsys, "--coeffs", coeffs, "identities", "2010")
+    assert code == 0
+    assert "all identities hold exactly" in out
+
+
 def test_verify_table(capsys):
     code, out, _ = run(capsys, "--coeffs", "1,1", "verify", "--n-max", "60")
     assert code == 0

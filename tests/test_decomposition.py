@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plrs import (
     Decomposition,
@@ -17,11 +17,12 @@ from plrs import (
     is_legal,
     parse_blocks,
     remove_second_to_last_block,
+    second_to_last_block_size,
     validate_spec,
     value,
 )
 
-from conftest import FIXTURE_COEFFS
+from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
 
 # -- independent legality oracle ---------------------------------------------
@@ -60,10 +61,20 @@ def test_is_legal_matches_definition_exhaustively(coeffs):
             assert bool(is_legal(spec, a)) == legal_by_definition(coeffs, a), a
 
 
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=14))
-def test_is_legal_matches_definition_random(a):
-    spec = validate_spec((2, 2, 0, 2))
-    assert bool(is_legal(spec, a)) == legal_by_definition((2, 2, 0, 2), a)
+@given(
+    RANDOM_SPECS,
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=14),
+)
+@example((2, 2, 0, 2), [1, 0, 0, 2, 0, 0, 1])
+@example((2, 2, 0, 2), [2, 2, 0, 2, 1])
+def test_is_legal_matches_definition_random(coeffs, a):
+    spec = validate_spec(coeffs)
+    legal = bool(is_legal(spec, a))
+    assert legal == legal_by_definition(coeffs, a)
+    if legal:
+        blocks = parse_blocks(spec, Decomposition(spec, a)).blocks
+        if len(blocks) >= 2:
+            assert second_to_last_block_size(spec, a) == blocks[-2].size
 
 
 def test_is_legal_goldens(fib, h2202):
@@ -198,6 +209,8 @@ def test_second_to_last_size_errors(fib):
         second_to_last_block_size(fib, (1, 1))
     with pytest.raises(IllegalDecomposition):
         second_to_last_block_size(fib, (2, 0))
+    with pytest.raises(IllegalDecomposition):
+        second_to_last_block_size(fib, (1, -1, 1))
 
 
 def test_summand_count():

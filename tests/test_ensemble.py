@@ -83,6 +83,15 @@ def test_enumerators_agree_on_random_specs(coeffs):
         n += 1
 
 
+def test_deep_strings_enumerate_without_recursion():
+    # 1, then 998 zeros, then 1: at n = 2010 most outcomes hold about a
+    # thousand [0] blocks, more than the recursion limit allows frames.
+    spec = validate_spec((1,) + (0,) * 998 + (1,))
+    table = SequenceTable(spec)
+    count = sum(1 for _ in enumerate_omega(spec, 2010))
+    assert count == table.term(2011) - table.term(2010) == 1066
+
+
 def test_cardinality_four_ways(fixture_spec):
     table = SequenceTable(fixture_spec)
     engine = SummandTable(fixture_spec)

@@ -118,7 +118,9 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
     ) / (hi - lo + 1)
     assert growth.b_est == round_to_bits(b_fold, growth.precision_bits)
     for n in range(2 * spec.length + 1, 61):
-        assert y_statistics(spec, n, growth) == _reference_y_statistics(spec, n, growth)
+        assert y_statistics(spec, n, growth, engine=engine) == _reference_y_statistics(
+            spec, n, growth
+        )
 
 
 def test_find_threshold_small(fixture_spec):
