@@ -16,7 +16,7 @@ NS = [25, 50, 100, 200, 400]
 for coeffs in [(1, 1), (2, 2, 0, 2), (1, 2), (3, 0, 1)]:
     spec = validate_spec(coeffs)
     engine = SummandTable(spec)
-    rows = gaussian_diagnostics(spec, NS, engine=engine)
+    rows = gaussian_diagnostics(engine, NS)
     print(f"recurrence {spec}")
     print(f"  {'n':>5} {'skewness':>12} {'excess kurtosis':>16}")
     for r in rows:

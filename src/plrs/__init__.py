@@ -76,7 +76,6 @@ from .ensemble import (
     enumerate_omega,
     sample_uniform,
     stats_from_polynomial,
-    summand_polynomial,
     z_distribution,
 )
 from .theorem import (
@@ -129,7 +128,6 @@ __all__ = [
     "SummandTable",
     "enumerate_omega",
     "enumerate_by_integer_walk",
-    "summand_polynomial",
     "stats_from_polynomial",
     "z_distribution",
     "conditional_tally",

@@ -515,9 +515,9 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
     engine = SummandTable(spec)
     rows = []
-    l1, r1 = first_moment_identity(spec, cfg.n, engine=engine)
+    l1, r1 = first_moment_identity(engine, cfg.n)
     rows.append(("mean", None, l1, r1))
-    l2, r2 = second_moment_identity(spec, cfg.n, engine=engine)
+    l2, r2 = second_moment_identity(engine, cfg.n)
     rows.append(("second_moment", None, l2, r2))
     skipped = engine.stats(cfg.n).cardinality > cfg.cap
     if not skipped:
@@ -525,7 +525,7 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
         for t in range(spec.size):
             for name, moment in (("conditional_mean", 1), ("conditional_second", 2)):
                 lhs, rhs = conditional_mean_check(
-                    spec, cfg.n, t, moment=moment, engine=engine, tally=tally
+                    engine, cfg.n, t, moment=moment, tally=tally
                 )
                 rows.append((name, t, lhs, rhs))
     ok = all(l == r for _, _, l, r in rows)
@@ -556,11 +556,11 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
-    spec = _spec(cfg)
+    engine = SummandTable(_spec(cfg))
     n_max = cfg.n_max if cfg.n_max is not None else 400
     code = 0
     try:
-        report = verify_variance_bound(spec, n_max, precision_bits=cfg.precision_bits)
+        report = verify_variance_bound(engine, n_max, precision_bits=cfg.precision_bits)
     except BoundViolated as exc:
         report, code = exc.report, 1
         print(f"variance bound FAILED at n = {exc.n}", file=sys.stderr)
@@ -617,7 +617,7 @@ def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     text = cfg.n_list or "50,100,200,400"
     ns = [int(part) for part in text.split(",") if part.strip()]
     _require(ns, "gauss needs a non-empty --n-list")
-    rows = gaussian_diagnostics(spec, ns)
+    rows = gaussian_diagnostics(SummandTable(spec), ns)
 
     def table():
         lines = [f"{'n':>6} {'skewness':>14} {'excess_kurtosis':>16}"]
@@ -704,8 +704,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"plrs: error: {exc} (raise --cap or PLRS_ENUM_CAP)", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
-        # covers the validation family of PlrsError plus plain bad input
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
+        # covers the validation family of PlrsError plus plain bad input,
+        # and a precision too large to shift by
         print(f"plrs: error: {exc}", file=sys.stderr)
         return 2
     except PlrsError as exc:

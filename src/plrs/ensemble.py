@@ -45,7 +45,6 @@ __all__ = [
     "SummandTable",
     "enumerate_omega",
     "enumerate_by_integer_walk",
-    "summand_polynomial",
     "stats_from_polynomial",
     "z_distribution",
     "conditional_tally",
@@ -364,11 +363,6 @@ class SummandTable:
         return Fraction(sums[2], sums[0])
 
 
-def summand_polynomial(spec: RecurrenceSpec, n: int) -> SummandPolynomial:
-    """One-shot histogram; build a :class:`SummandTable` for sweeps."""
-    return SummandTable(spec).polynomial(n)
-
-
 def stats_from_polynomial(poly: SummandPolynomial) -> EnsembleStats:
     """Exact mean, variance and central moments 3 and 4 of a histogram."""
     total = poly.total
@@ -482,21 +476,21 @@ def conditional_tally(
 
 
 def conditional_mean_check(
-    spec: RecurrenceSpec,
+    engine: SummandTable,
     n: int,
     t: int,
     *,
     moment: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
-    engine: SummandTable | None = None,
     tally: tuple[tuple[int, int, int], ...] | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Conditional moment of the summand count, two independent ways.
 
-    Left side: enumerate the space at index n, keep the outcomes whose
-    second-to-last block has size ``t``, and average ``K^moment`` over
-    them.  Right side, from the dynamic program at the shorter index
-    ``r = n - length(t)`` (removing the block drops the count by t):
+    Left side: enumerate the space at index n of ``engine.spec``, keep the
+    outcomes whose second-to-last block has size ``t``, and average
+    ``K^moment`` over them.  Right side, from the table's moment rows at
+    the shorter index ``r = n - length(t)`` (removing the block drops the
+    count by t):
 
         moment 1:  E[K_r] + t
         moment 2:  E[K_r^2] + 2 t E[K_r] + t^2
@@ -505,6 +499,7 @@ def conditional_mean_check(
     :func:`conditional_tally` of index n as ``tally`` to check every size
     and moment from one enumeration.
     """
+    spec = engine.spec
     _require_three_blocks(spec, n)
     if not 0 <= t < spec.size:
         raise SizeOutOfRange(f"block size {t} outside [0, {spec.size - 1}]")
@@ -517,8 +512,7 @@ def conditional_mean_check(
         raise EmptyConditionalEvent(f"no outcome at n={n} has block size {t}")
     lhs = Fraction(tally[t][moment], count)
 
-    engine = engine if engine is not None else SummandTable(spec)
-    r = n - block_catalog(spec).length_of(t)
+    r = n - engine.catalog.length_of(t)
     if moment == 1:
         rhs = engine.mean(r) + t
     else:

@@ -31,6 +31,14 @@ avoid a and b and are the strongest regression checks in the package:
 and, as ``Y_n = E[K_n | Z_n] - a*n - b``, the law of total variance
 
     Var[Y_n] = Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}].
+
+Every function here that reads moment rows takes the
+:class:`~plrs.ensemble.SummandTable` as its first argument and reads the
+spec from ``engine.spec``; the grammar walkers of :mod:`plrs.ensemble`
+(``enumerate_omega``, ``conditional_tally``, ``z_distribution``) take the
+spec.  A :class:`GrowthEstimate` records the spec it was estimated for,
+and the readers that take one raise :class:`SpecMismatch` when it names a
+different spec than the table.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .errors import (
     NonPositiveC,
     NoThresholdInRange,
     PlrsError,
+    SpecMismatch,
     WindowTooSmall,
 )
 from .rationals import decimal_str, format_fraction, round_to_bits
@@ -101,11 +110,7 @@ class GrowthEstimate:
 
 
 def estimate_growth(
-    spec: RecurrenceSpec,
-    n_max: int,
-    *,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    engine: SummandTable | None = None,
+    engine: SummandTable, n_max: int, *, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> GrowthEstimate:
     """Estimate the slope and intercept of the mean summand count.
 
@@ -118,10 +123,9 @@ def estimate_growth(
     size.  Both estimates are rounded to ``precision_bits`` bits, after
     which the residual table is exact.
     """
-    L = spec.length
+    L = engine.spec.length
     if n_max < 4 * L + 8:
         raise WindowTooSmall(f"need n_max >= 4L + 8 = {4 * L + 8}, got {n_max}")
-    engine = engine if engine is not None else SummandTable(spec)
     means = [engine.mean(n) for n in range(1, n_max + 1)]
 
     a_exact = means[-1] - means[-2]
@@ -139,7 +143,7 @@ def estimate_growth(
         means[n - 1] - a_est * n - b_est for n in range(1, n_max + 1)
     )
     return GrowthEstimate(
-        spec, n_max, precision_bits, a_est, b_est, f_values, window, gap
+        engine.spec, n_max, precision_bits, a_est, b_est, f_values, window, gap
     )
 
 
@@ -153,12 +157,15 @@ def _pairwise_sum(values: list[Fraction]) -> Fraction:
     return values[0]
 
 
+def _require_same_spec(engine: SummandTable, growth: GrowthEstimate) -> None:
+    if growth.spec != engine.spec:
+        raise SpecMismatch(
+            f"growth estimate of {growth.spec} read against a table of {engine.spec}"
+        )
+
+
 def y_statistics(
-    spec: RecurrenceSpec,
-    n: int,
-    growth: GrowthEstimate,
-    *,
-    engine: SummandTable | None = None,
+    engine: SummandTable, n: int, growth: GrowthEstimate
 ) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the centered block statistic at index n.
 
@@ -179,7 +186,7 @@ def y_statistics(
         = ((T_n A_2(n) - A_1(n)^2) P
            - T_n sum_l k (T_r A_2(r) - A_1(r)^2) P/T_r) / (T_n^2 P).
     """
-    engine = engine if engine is not None else SummandTable(spec)
+    _require_same_spec(engine, growth)
     rows = engine.removal_rows(n)
     Tn, A1n, A2n = engine.stats(n).raw_sums[:3]
     a, b = growth.a_est, growth.b_est
@@ -209,15 +216,11 @@ def y_statistics(
 
 
 def _y_variance_sweep(
-    spec: RecurrenceSpec,
-    growth: GrowthEstimate,
-    n_max: int,
-    engine: SummandTable | None,
+    engine: SummandTable, growth: GrowthEstimate, n_max: int
 ) -> dict[int, Fraction]:
-    engine = engine if engine is not None else SummandTable(spec)
     return {
-        n: y_statistics(spec, n, growth, engine=engine)[1]
-        for n in range(2 * spec.length + 1, n_max + 1)
+        n: y_statistics(engine, n, growth)[1]
+        for n in range(2 * engine.spec.length + 1, n_max + 1)
     }
 
 
@@ -234,22 +237,17 @@ def _pick_threshold(
     return failures[-1]
 
 
-def find_threshold_N(
-    spec: RecurrenceSpec,
-    growth: GrowthEstimate,
-    n_max: int,
-    *,
-    engine: SummandTable | None = None,
-) -> int:
+def find_threshold_N(engine: SummandTable, growth: GrowthEstimate, n_max: int) -> int:
     """Smallest N > 2L with ``Var[Y_n] > a^2/(2S)`` for all n in (N, n_max].
 
     Returns ``2L + 1`` when the bound already holds on the whole sweep.
     Raises :class:`NoThresholdInRange` when the bound fails at ``n_max``
     itself, since then no threshold inside the window has a verified tail.
     """
-    bound = growth.a_est**2 / (2 * spec.size)
-    variances = _y_variance_sweep(spec, growth, n_max, engine)
-    return _pick_threshold(variances, bound, n_max, spec.length)
+    _require_same_spec(engine, growth)
+    bound = growth.a_est**2 / (2 * engine.spec.size)
+    variances = _y_variance_sweep(engine, growth, n_max)
+    return _pick_threshold(variances, bound, n_max, engine.spec.length)
 
 
 @dataclass(frozen=True)
@@ -261,13 +259,7 @@ class ConstantChoice:
     candidates: tuple[tuple[str, Fraction], ...]
 
 
-def compute_c(
-    spec: RecurrenceSpec,
-    growth: GrowthEstimate,
-    N: int,
-    *,
-    engine: SummandTable | None = None,
-) -> ConstantChoice:
+def compute_c(engine: SummandTable, growth: GrowthEstimate, N: int) -> ConstantChoice:
     """Take the minimum over the base-case ratios and the slope term.
 
     Candidates are ``Var[K_n]/n`` for ``L < n <= N`` plus
@@ -276,10 +268,10 @@ def compute_c(
     so the minimum is positive; anything else raises
     :class:`NonPositiveC`.
     """
-    L = spec.length
+    _require_same_spec(engine, growth)
+    L = engine.spec.length
     if N <= L:
         raise ValueError(f"threshold N={N} leaves no base cases (need N > L={L})")
-    engine = engine if engine is not None else SummandTable(spec)
     candidates: list[tuple[str, Fraction]] = []
     for n in range(L + 1, N + 1):
         var = engine.stats(n).variance
@@ -287,7 +279,7 @@ def compute_c(
             raise NonPositiveC(f"variance vanished at n={n}; engine bug")
         candidates.append((f"var({n})/{n}", var / n))
     candidates.append(
-        ("a_est^2/(2*S*L)", growth.a_est**2 / (2 * spec.size * L))
+        ("a_est^2/(2*S*L)", growth.a_est**2 / (2 * engine.spec.size * L))
     )
     source, value = min(candidates, key=lambda item: item[1])
     if value <= 0:
@@ -323,12 +315,7 @@ class GaussianRow:
     excess_kurtosis_exact: Fraction
 
 
-def gaussian_diagnostics(
-    spec: RecurrenceSpec,
-    n_list,
-    *,
-    engine: SummandTable | None = None,
-) -> tuple[GaussianRow, ...]:
+def gaussian_diagnostics(engine: SummandTable, n_list) -> tuple[GaussianRow, ...]:
     """Exact skewness and excess kurtosis at the given indices.
 
     Both shrink toward 0 as n grows when the distribution approaches a
@@ -339,7 +326,6 @@ def gaussian_diagnostics(
     ns = list(n_list)
     if not ns:
         return ()
-    engine = engine if engine is not None else SummandTable(spec)
     engine.extend(max(ns) - 1)
 
     rows = []
@@ -385,12 +371,7 @@ def _removal_sums(engine: SummandTable, n: int) -> tuple[int, int, int]:
     return c0, c1, c2
 
 
-def first_moment_identity(
-    spec: RecurrenceSpec,
-    n: int,
-    *,
-    engine: SummandTable | None = None,
-) -> tuple[Fraction, Fraction]:
+def first_moment_identity(engine: SummandTable, n: int) -> tuple[Fraction, Fraction]:
     """Mean at index n versus its reassembly from the shorter spaces.
 
     Deleting the second-to-last block (size t, length len(t)) maps the
@@ -401,17 +382,11 @@ def first_moment_identity(
 
     Returns (lhs, rhs) as exact rationals; they must be equal.
     """
-    engine = engine if engine is not None else SummandTable(spec)
     c0, c1, _ = _removal_sums(engine, n)
     return engine.mean(n), Fraction(c1, c0)
 
 
-def second_moment_identity(
-    spec: RecurrenceSpec,
-    n: int,
-    *,
-    engine: SummandTable | None = None,
-) -> tuple[Fraction, Fraction]:
+def second_moment_identity(engine: SummandTable, n: int) -> tuple[Fraction, Fraction]:
     """Second raw moment at index n versus its reassembly.
 
         E[K_n^2] = sum_t P(Z_n = t) * (E[K_{n-len(t)}^2]
@@ -420,7 +395,6 @@ def second_moment_identity(
 
     Returns (lhs, rhs) as exact rationals; they must be equal.
     """
-    engine = engine if engine is not None else SummandTable(spec)
     c0, _, c2 = _removal_sums(engine, n)
     return engine.second_raw_moment(n), Fraction(c2, c0)
 
@@ -506,12 +480,7 @@ class TheoremReport:
 
 
 def verify_variance_bound(
-    spec: RecurrenceSpec,
-    n_max: int,
-    *,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    gaussian_ns=None,
-    engine: SummandTable | None = None,
+    engine: SummandTable, n_max: int, *, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> TheoremReport:
     """Run the whole verification chain up to ``n_max``.
 
@@ -525,18 +494,18 @@ def verify_variance_bound(
     report attached as ``exc.report``) if any index fails, which cannot
     happen for a valid spec.
     """
+    spec = engine.spec
     L = spec.length
     S = spec.size
-    engine = engine if engine is not None else SummandTable(spec)
-    growth = estimate_growth(spec, n_max, precision_bits=precision_bits, engine=engine)
-    var_y = _y_variance_sweep(spec, growth, n_max, engine)
+    growth = estimate_growth(engine, n_max, precision_bits=precision_bits)
+    var_y = _y_variance_sweep(engine, growth, n_max)
     bound = growth.a_est**2 / (2 * S)
     N = _pick_threshold(var_y, bound, n_max, L)
     if n_max < N + 10:
         raise WindowTooSmall(
             f"n_max={n_max} leaves no room beyond the threshold N={N}; need N+10"
         )
-    choice = compute_c(spec, growth, N, engine=engine)
+    choice = compute_c(engine, growth, N)
     c = choice.value
 
     per_n = []
@@ -554,11 +523,10 @@ def verify_variance_bound(
         1, 2 ** max(precision_bits - 8, 1)
     )
 
-    if gaussian_ns is None:
-        gaussian_ns = sorted(
-            {max(L + 1, n_max // 8), max(L + 1, n_max // 4), max(L + 1, n_max // 2), n_max}
-        )
-    gaussian = gaussian_diagnostics(spec, gaussian_ns, engine=engine)
+    gaussian_ns = sorted(
+        {max(L + 1, n_max // 8), max(L + 1, n_max // 4), max(L + 1, n_max // 2), n_max}
+    )
+    gaussian = gaussian_diagnostics(engine, gaussian_ns)
 
     report = TheoremReport(
         spec=spec,

@@ -193,9 +193,9 @@ def test_criterion_06_conditional_identities(engines, tables):
         cat = block_catalog(spec)
         # exact identity sweep over the full range, zero tolerance
         for n in range(2 * L + 1, 401):
-            lhs, rhs = first_moment_identity(spec, n, engine=engine)
+            lhs, rhs = first_moment_identity(engine, n)
             assert lhs == rhs, (coeffs, n)
-            lhs2, rhs2 = second_moment_identity(spec, n, engine=engine)
+            lhs2, rhs2 = second_moment_identity(engine, n)
             assert lhs2 == rhs2, (coeffs, n)
         # enumeration cross-check of the per-size conditional moments
         for n in range(2 * L + 1, 21):
@@ -231,8 +231,7 @@ def test_criterion_07_growth_constants(engines):
     fib_target = (5 - math.sqrt(5)) / 10  # 0.2763932..., computed independently
     ok_details = []
     for coeffs in SPECS:
-        spec = validate_spec(coeffs)
-        growth = estimate_growth(spec, 400, engine=engines[coeffs])
+        growth = estimate_growth(engines[coeffs], 400)
         assert float(growth.convergence_gap) < 1e-6, coeffs
         if coeffs == (1, 1):
             assert abs(float(growth.a_est) - fib_target) < 1e-3
@@ -249,13 +248,13 @@ def test_criterion_08_y_variance_bound(engines, tables):
     worst = 0
     for coeffs in SPECS:
         spec = validate_spec(coeffs)
-        growth = estimate_growth(spec, 400, engine=engines[coeffs])
-        N = find_threshold_N(spec, growth, 400, engine=engines[coeffs])
+        growth = estimate_growth(engines[coeffs], 400)
+        N = find_threshold_N(engines[coeffs], growth, 400)
         assert N <= 60, (coeffs, N)
         worst = max(worst, N)
         bound = growth.a_est**2 / (2 * spec.size)
         for n in range(N + 1, 401):
-            _, var_y = y_statistics(spec, n, growth, engine=engines[coeffs])
+            _, var_y = y_statistics(engines[coeffs], n, growth)
             assert var_y > bound, (coeffs, n)
     _report(
         8,
@@ -268,8 +267,7 @@ def test_criterion_08_y_variance_bound(engines, tables):
 def test_criterion_09_variance_lower_bound(engines, capsys):
     t0 = time.perf_counter()
     for coeffs in SPECS:
-        spec = validate_spec(coeffs)
-        report = verify_variance_bound(spec, 400, engine=engines[coeffs])
+        report = verify_variance_bound(engines[coeffs], 400)
         assert report.all_pass, coeffs
         assert report.c > 0
         payload = report.to_json_dict()
@@ -298,8 +296,7 @@ def test_criterion_10_gaussian_trend(engines):
     failures = []
     details = []
     for coeffs in SPECS:
-        spec = validate_spec(coeffs)
-        rows = {r.n: r for r in gaussian_diagnostics(spec, [50, 400], engine=engines[coeffs])}
+        rows = {r.n: r for r in gaussian_diagnostics(engines[coeffs], [50, 400])}
         zero_skew = [rows[n].skewness_squared == 0 for n in (50, 400)]
         kurt_ok = abs(rows[400].excess_kurtosis_exact) < abs(rows[50].excess_kurtosis_exact)
         details.append(

@@ -272,6 +272,12 @@ def test_usage_errors(capsys):
     assert run(capsys, "--coeffs", "1,1", "--format", "yaml", "seq", "5")[0] == 2
     assert run(capsys, "--coeffs", "1,1", "zdist", "4")[0] == 2  # n <= 2L
     assert run(capsys, "--coeffs", "1,1", "--threads", "2", "seq", "5")[0] == 2  # removed flag
+    # a precision too large to shift by
+    code, out, err = run(
+        capsys, "--coeffs", "1,1", "--precision-bits", "1" + "0" * 20, "verify", "--n-max", "40"
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("plrs: error:")
 
 
 @pytest.mark.parametrize(

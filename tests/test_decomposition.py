@@ -11,6 +11,7 @@ from plrs import (
     SizeOutOfRange,
     SpecMismatch,
     TooFewBlocks,
+    block_catalog,
     decompose,
     enumerate_omega,
     insert_block_before_last,
@@ -75,6 +76,29 @@ def test_is_legal_matches_definition_random(coeffs, a):
         blocks = parse_blocks(spec, Decomposition(spec, a)).blocks
         if len(blocks) >= 2:
             assert second_to_last_block_size(spec, a) == blocks[-2].size
+
+
+@st.composite
+def _block_built(draw):
+    """A spec and a string glued from its catalog blocks: type-2 blocks of
+    random sizes (the first positive), optionally closed by a type-1 block,
+    with one entry overwritten half of the time so both verdicts occur."""
+    coeffs = draw(RANDOM_SPECS)
+    catalog = block_catalog(validate_spec(coeffs))
+    size = st.integers(min_value=0, max_value=len(catalog.type2_by_size) - 1)
+    sizes = [draw(size.filter(bool))] + draw(st.lists(size, max_size=6))
+    a = [x for t in sizes for x in catalog.type2_by_size[t].coefficients]
+    if catalog.type1_blocks and draw(st.booleans()):
+        a += draw(st.sampled_from(catalog.type1_blocks)).coefficients
+    if draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] = draw(st.integers(0, 5))
+    return coeffs, a
+
+
+@given(_block_built())
+def test_is_legal_matches_definition_block_built(case):
+    # the same assertions as the uniform test, on mostly legal strings
+    test_is_legal_matches_definition_random.hypothesis.inner_test(*case)
 
 
 def test_is_legal_goldens(fib, h2202):

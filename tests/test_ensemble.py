@@ -26,7 +26,6 @@ from plrs import (
     sample_uniform,
     second_moment_identity,
     stats_from_polynomial,
-    summand_polynomial,
     validate_spec,
     value,
     verify_variance_bound,
@@ -117,9 +116,9 @@ def test_enumeration_is_sorted_by_block_sizes(fixture_spec):
 # -- the dynamic program -------------------------------------------------------
 
 def test_polynomial_goldens(fib):
-    assert summand_polynomial(fib, 3).coeffs == (0, 1, 1)  # x + x^2
-    assert summand_polynomial(fib, 1).coeffs == (0, 1)  # x
-    assert summand_polynomial(fib, 4).coeffs == (0, 1, 2)  # x + 2x^2
+    assert SummandTable(fib).polynomial(3).coeffs == (0, 1, 1)  # x + x^2
+    assert SummandTable(fib).polynomial(1).coeffs == (0, 1)  # x
+    assert SummandTable(fib).polynomial(4).coeffs == (0, 1, 2)  # x + 2x^2
 
 
 def test_polynomial_matches_enumeration_tally(fixture_spec):
@@ -196,14 +195,14 @@ def test_statistics_never_build_tail_polynomials(fixture_spec):
         engine.second_raw_moment(n)
     assert engine._tails == []
     engine = SummandTable(fixture_spec)
-    verify_variance_bound(fixture_spec, 200, engine=engine)
+    verify_variance_bound(engine, 200)
     assert engine._tails == []
     engine = SummandTable(fixture_spec)
     for n in range(2 * fixture_spec.length + 1, 201):
-        first_moment_identity(fixture_spec, n, engine=engine)
-        second_moment_identity(fixture_spec, n, engine=engine)
-    growth = estimate_growth(fixture_spec, 200, engine=engine)
-    find_threshold_N(fixture_spec, growth, 200, engine=engine)
+        first_moment_identity(engine, n)
+        second_moment_identity(engine, n)
+    growth = estimate_growth(engine, 200)
+    find_threshold_N(engine, growth, 200)
     assert engine._tails == []
 
 
@@ -272,9 +271,10 @@ def test_z_distribution_index_too_small(fixture_spec):
 # -- conditional moments ---------------------------------------------------------
 
 def test_conditional_mean_goldens(fib):
-    assert conditional_mean_check(fib, 5, 0) == (Fraction(5, 3), Fraction(5, 3))
-    assert conditional_mean_check(fib, 5, 1) == (Fraction(5, 2), Fraction(5, 2))
-    assert conditional_mean_check(fib, 5, 0, moment=2) == (Fraction(3), Fraction(3))
+    engine = SummandTable(fib)
+    assert conditional_mean_check(engine, 5, 0) == (Fraction(5, 3), Fraction(5, 3))
+    assert conditional_mean_check(engine, 5, 1) == (Fraction(5, 2), Fraction(5, 2))
+    assert conditional_mean_check(engine, 5, 0, moment=2) == (Fraction(3), Fraction(3))
 
 
 @pytest.mark.parametrize(
@@ -292,9 +292,7 @@ def test_conditional_moments_exact(coeffs, ns):
     for n in ns:
         for t in range(spec.size):
             for moment in (1, 2):
-                lhs, rhs = conditional_mean_check(
-                    spec, n, t, moment=moment, engine=engine
-                )
+                lhs, rhs = conditional_mean_check(engine, n, t, moment=moment)
                 assert lhs == rhs, (coeffs, n, t, moment)
 
 
@@ -313,19 +311,19 @@ def test_conditional_tally_serves_every_check(fixture_spec):
     for t in range(spec.size):
         for moment in (1, 2):
             assert conditional_mean_check(
-                spec, n, t, moment=moment, engine=engine, tally=tally
-            ) == conditional_mean_check(spec, n, t, moment=moment, engine=engine)
+                engine, n, t, moment=moment, tally=tally
+            ) == conditional_mean_check(engine, n, t, moment=moment)
 
 
 def test_conditional_check_errors(fib):
     with pytest.raises(IndexTooSmall):
-        conditional_mean_check(fib, 4, 0)
+        conditional_mean_check(SummandTable(fib), 4, 0)
     with pytest.raises(SizeOutOfRange):
-        conditional_mean_check(fib, 5, 9)
+        conditional_mean_check(SummandTable(fib), 5, 9)
     with pytest.raises(ValueError):
-        conditional_mean_check(fib, 5, 0, moment=3)
+        conditional_mean_check(SummandTable(fib), 5, 0, moment=3)
     with pytest.raises(CapExceeded):
-        conditional_mean_check(fib, 30, 0, cap=10)
+        conditional_mean_check(SummandTable(fib), 30, 0, cap=10)
     with pytest.raises(CapExceeded):
         conditional_tally(fib, 30, cap=10)
     with pytest.raises(IndexTooSmall):

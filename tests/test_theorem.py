@@ -14,6 +14,7 @@ from plrs import (
     NoThresholdInRange,
     PlrsError,
     SequenceTable,
+    SpecMismatch,
     SummandTable,
     WindowTooSmall,
     compute_c,
@@ -37,7 +38,7 @@ from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
 def test_growth_fibonacci_slope():
     spec = validate_spec((1, 1))
-    growth = estimate_growth(spec, 120)
+    growth = estimate_growth(SummandTable(spec), 120)
     # classical value: the mean slope is (5 - sqrt 5)/10, computed here
     # independently of the engine
     target = (5 - math.sqrt(5)) / 10
@@ -46,7 +47,7 @@ def test_growth_fibonacci_slope():
 
 
 def test_growth_positive_slope_and_shrinking_residuals(fixture_spec):
-    growth = estimate_growth(fixture_spec, 80)
+    growth = estimate_growth(SummandTable(fixture_spec), 80)
     assert growth.a_est > 0
     f = growth.f_values
     quarter = len(f) // 4
@@ -59,11 +60,11 @@ def test_growth_positive_slope_and_shrinking_residuals(fixture_spec):
 
 def test_growth_window_too_small(fixture_spec):
     with pytest.raises(WindowTooSmall):
-        estimate_growth(fixture_spec, 4 * fixture_spec.length)
+        estimate_growth(SummandTable(fixture_spec), 4 * fixture_spec.length)
 
 
 def test_growth_f_lookup_bounds(fib):
-    growth = estimate_growth(fib, 40)
+    growth = estimate_growth(SummandTable(fib), 40)
     assert growth.f(1) == growth.f_values[0]
     with pytest.raises(MissingFValue):
         growth.f(41)
@@ -74,25 +75,25 @@ def test_growth_f_lookup_bounds(fib):
 # -- the centered block statistic -------------------------------------------------
 
 def test_y_mean_equals_residual(fixture_spec):
-    growth = estimate_growth(fixture_spec, 80)
+    growth = estimate_growth(SummandTable(fixture_spec), 80)
     for n in (2 * fixture_spec.length + 1, 40, 80):
-        ey, var_y = y_statistics(fixture_spec, n, growth)
+        ey, var_y = y_statistics(SummandTable(fixture_spec), n, growth)
         assert ey == growth.f(n)
         assert var_y >= 0
 
 
 def test_y_variance_beats_bound_at_large_n(fib):
-    growth = estimate_growth(fib, 80)
-    _, var_y = y_statistics(fib, 60, growth)
+    growth = estimate_growth(SummandTable(fib), 80)
+    _, var_y = y_statistics(SummandTable(fib), 60, growth)
     assert var_y > growth.a_est**2 / (2 * fib.size)  # S = 2: bound a^2/4
 
 
 def test_y_statistics_errors(fib):
-    growth = estimate_growth(fib, 40)
+    growth = estimate_growth(SummandTable(fib), 40)
     with pytest.raises(IndexTooSmall):
-        y_statistics(fib, 4, growth)
+        y_statistics(SummandTable(fib), 4, growth)
     with pytest.raises(MissingFValue):
-        y_statistics(fib, 41, growth)
+        y_statistics(SummandTable(fib), 41, growth)
 
 
 def _reference_y_statistics(spec, n, growth):
@@ -111,41 +112,54 @@ def _reference_y_statistics(spec, n, growth):
 def test_integer_sweep_matches_fraction_reference(coeffs):
     spec = validate_spec(coeffs)
     engine = SummandTable(spec)
-    growth = estimate_growth(spec, 60, engine=engine)
+    growth = estimate_growth(engine, 60)
     lo, hi = growth.window
     b_fold = sum(
         (engine.mean(n) - growth.a_est * n for n in range(lo, hi + 1)), Fraction(0)
     ) / (hi - lo + 1)
     assert growth.b_est == round_to_bits(b_fold, growth.precision_bits)
     for n in range(2 * spec.length + 1, 61):
-        assert y_statistics(spec, n, growth, engine=engine) == _reference_y_statistics(
+        assert y_statistics(engine, n, growth) == _reference_y_statistics(
             spec, n, growth
         )
 
 
 def test_find_threshold_small(fixture_spec):
-    growth = estimate_growth(fixture_spec, 80)
-    N = find_threshold_N(fixture_spec, growth, 80)
+    growth = estimate_growth(SummandTable(fixture_spec), 80)
+    N = find_threshold_N(SummandTable(fixture_spec), growth, 80)
     assert 2 * fixture_spec.length < N <= 60
 
 
 def test_y_bound_values():
     # S = 2 gives a^2/4; S = 6 gives a^2/12
     fib = validate_spec((1, 1))
-    g = estimate_growth(fib, 40)
+    g = estimate_growth(SummandTable(fib), 40)
     assert g.a_est**2 / (2 * fib.size) == g.a_est**2 / 4
     h = validate_spec((2, 2, 0, 2))
-    gh = estimate_growth(h, 40)
+    gh = estimate_growth(SummandTable(h), 40)
     assert gh.a_est**2 / (2 * h.size) == gh.a_est**2 / 12
 
 
 def test_find_threshold_no_threshold(monkeypatch, fib):
-    growth = estimate_growth(fib, 40)
+    growth = estimate_growth(SummandTable(fib), 40)
     monkeypatch.setattr(
         "plrs.theorem.y_statistics", lambda *a, **k: (Fraction(0), Fraction(0))
     )
     with pytest.raises(NoThresholdInRange):
-        find_threshold_N(fib, growth, 40)
+        find_threshold_N(SummandTable(fib), growth, 40)
+
+
+def test_growth_read_against_another_table_raises(fib, h2202):
+    growth = estimate_growth(SummandTable(fib), 40)
+    assert growth.spec == fib
+    other = SummandTable(h2202)
+    assert estimate_growth(other, 40).spec == h2202
+    with pytest.raises(SpecMismatch):
+        y_statistics(other, 20, growth)
+    with pytest.raises(SpecMismatch):
+        find_threshold_N(other, growth, 40)
+    with pytest.raises(SpecMismatch):
+        compute_c(other, growth, 20)
 
 
 # -- the constant ------------------------------------------------------------------
@@ -153,9 +167,9 @@ def test_find_threshold_no_threshold(monkeypatch, fib):
 def test_compute_c_fibonacci():
     spec = validate_spec((1, 1))
     engine = SummandTable(spec)
-    growth = estimate_growth(spec, 80, engine=engine)
-    N = find_threshold_N(spec, growth, 80)
-    choice = compute_c(spec, growth, N, engine=engine)
+    growth = estimate_growth(engine, 80)
+    N = find_threshold_N(engine, growth, 80)
+    choice = compute_c(engine, growth, N)
     assert choice.value > 0
     labels = [s for s, _ in choice.candidates]
     assert f"var({spec.length + 1})/{spec.length + 1}" in labels
@@ -166,16 +180,16 @@ def test_compute_c_fibonacci():
 
 def test_compute_c_base_variances_positive(fixture_spec):
     engine = SummandTable(fixture_spec)
-    growth = estimate_growth(fixture_spec, 80, engine=engine)
-    N = find_threshold_N(fixture_spec, growth, 80)
+    growth = estimate_growth(engine, 80)
+    N = find_threshold_N(engine, growth, 80)
     for n in range(fixture_spec.length + 1, N + 1):
         assert engine.stats(n).variance > 0
 
 
 def test_compute_c_rejects_empty_window(fib):
-    growth = estimate_growth(fib, 40)
+    growth = estimate_growth(SummandTable(fib), 40)
     with pytest.raises(ValueError):
-        compute_c(fib, growth, fib.length)
+        compute_c(SummandTable(fib), growth, fib.length)
 
 
 # -- identities --------------------------------------------------------------------
@@ -183,9 +197,9 @@ def test_compute_c_rejects_empty_window(fib):
 def test_removal_identities_exact(fixture_spec):
     engine = SummandTable(fixture_spec)
     for n in range(2 * fixture_spec.length + 1, 51):
-        lhs, rhs = first_moment_identity(fixture_spec, n, engine=engine)
+        lhs, rhs = first_moment_identity(engine, n)
         assert lhs == rhs, n
-        lhs2, rhs2 = second_moment_identity(fixture_spec, n, engine=engine)
+        lhs2, rhs2 = second_moment_identity(engine, n)
         assert lhs2 == rhs2, n
 
 
@@ -209,8 +223,8 @@ def test_removal_identities_match_size_by_size_reference(coeffs):
     with pytest.raises(IndexTooSmall):
         engine.removal_rows(2 * spec.length)
     for n in range(2 * spec.length + 1, 41):
-        lhs1, rhs1 = first_moment_identity(spec, n, engine=engine)
-        lhs2, rhs2 = second_moment_identity(spec, n, engine=engine)
+        lhs1, rhs1 = first_moment_identity(engine, n)
+        lhs2, rhs2 = second_moment_identity(engine, n)
         assert lhs1 == rhs1 and lhs2 == rhs2, n
         assert (rhs1, rhs2) == _reference_removal_moments(spec, n, engine, table), n
         c0 = sum(k * Tr for _, (k, _, _), (Tr, _, _) in engine.removal_rows(n))
@@ -221,7 +235,7 @@ def test_removal_identities_match_size_by_size_reference(coeffs):
 
 def test_verify_fibonacci_full():
     spec = validate_spec((1, 1))
-    report = verify_variance_bound(spec, 120)
+    report = verify_variance_bound(SummandTable(spec), 120)
     assert report.all_pass
     assert report.violations == ()
     assert report.threshold_N <= 60
@@ -233,7 +247,7 @@ def test_verify_fibonacci_full():
 
 def test_verify_report_serialization():
     spec = validate_spec((1, 1))
-    report = verify_variance_bound(spec, 60)
+    report = verify_variance_bound(SummandTable(spec), 60)
     payload = json.dumps(report.to_json_dict())
     data = json.loads(payload)
     assert data["all_pass"] is True
@@ -251,7 +265,7 @@ def test_verify_bound_violated_carries_report(monkeypatch):
         lambda *a, **k: ConstantChoice(Fraction(10), "fake", ()),
     )
     with pytest.raises(BoundViolated) as exc_info:
-        verify_variance_bound(spec, 60)
+        verify_variance_bound(SummandTable(spec), 60)
     exc = exc_info.value
     assert exc.n == spec.length + 1
     assert not exc.report.all_pass
@@ -260,7 +274,7 @@ def test_verify_bound_violated_carries_report(monkeypatch):
 
 def test_verify_all_fixture_specs_pass():
     for coeffs in FIXTURE_COEFFS:
-        report = verify_variance_bound(validate_spec(coeffs), 80)
+        report = verify_variance_bound(SummandTable(validate_spec(coeffs)), 80)
         assert report.all_pass, coeffs
 
 
@@ -268,36 +282,36 @@ def test_verify_all_fixture_specs_pass():
 
 def test_gaussian_trend_fibonacci():
     spec = validate_spec((1, 1))
-    rows = gaussian_diagnostics(spec, [30, 90])
+    rows = gaussian_diagnostics(SummandTable(spec), [30, 90])
     assert rows[1].skewness_squared < rows[0].skewness_squared
     assert abs(rows[1].excess_kurtosis_exact) < abs(rows[0].excess_kurtosis_exact)
     assert rows[0].n == 30 and rows[1].n == 90
 
 
 def test_gaussian_kurtosis_band(fixture_spec):
-    (row,) = gaussian_diagnostics(fixture_spec, [120])
+    (row,) = gaussian_diagnostics(SummandTable(fixture_spec), [120])
     assert Fraction(-1, 2) < row.excess_kurtosis_exact < Fraction(1, 2)
 
 
 def test_gaussian_degenerate_variance(fib):
     with pytest.raises(DegenerateVariance):
-        gaussian_diagnostics(fib, [1])
+        gaussian_diagnostics(SummandTable(fib), [1])
 
 
 def test_gaussian_empty_list(fib):
-    assert gaussian_diagnostics(fib, []) == ()
+    assert gaussian_diagnostics(SummandTable(fib), []) == ()
 
 
 def test_gaussian_trend_helper():
     from plrs import gaussian_trend_ok
 
     fib = validate_spec((1, 1))
-    assert gaussian_trend_ok(gaussian_diagnostics(fib, [30, 90]))
+    assert gaussian_trend_ok(gaussian_diagnostics(SummandTable(fib), [30, 90]))
     # exactly symmetric distribution: skewness 0 at both ends, strict fails
     binary = validate_spec((1, 2))
-    assert not gaussian_trend_ok(gaussian_diagnostics(binary, [30, 90]))
+    assert not gaussian_trend_ok(gaussian_diagnostics(SummandTable(binary), [30, 90]))
     with pytest.raises(ValueError):
-        gaussian_trend_ok(gaussian_diagnostics(fib, [30]))
+        gaussian_trend_ok(gaussian_diagnostics(SummandTable(fib), [30]))
 
 
 # -- internal consistency guard --------------------------------------------------------
@@ -306,7 +320,7 @@ def test_y_mean_check_detects_corrupt_residuals(fib):
     # Shifting every residual by the same constant would cancel out (the
     # identity is affine-invariant), so corrupt a single entry: the one the
     # mean is compared against.
-    growth = estimate_growth(fib, 40)
+    growth = estimate_growth(SummandTable(fib), 40)
     f = list(growth.f_values)
     f[39] += 1  # f(40)
     corrupt = GrowthEstimate(
@@ -320,4 +334,4 @@ def test_y_mean_check_detects_corrupt_residuals(fib):
         convergence_gap=growth.convergence_gap,
     )
     with pytest.raises(PlrsError):
-        y_statistics(fib, 40, corrupt)
+        y_statistics(SummandTable(fib), 40, corrupt)
