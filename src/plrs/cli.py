@@ -413,7 +413,9 @@ def _cmd_validate(cfg: RunConfig) -> tuple[int, Payload]:
         rows=lambda: [(verdict.ok, verdict.reason, verdict.position)],
         text=lambda: (
             "legal" if verdict
-            else f"illegal: {verdict.reason} (position {verdict.position})"
+            else f"illegal: {verdict.reason}" + (
+                "" if verdict.position is None else f" (position {verdict.position})"
+            )
         ),
     )
 

@@ -13,9 +13,12 @@ The parse is deterministic: starting at any position, coefficients are
 matched against the prefix ``c_1, c_2, ...`` until the first strict drop
 (type-2 block ends there) or the end of the string (type-1 block).  A
 coefficient above its ``c_i``, or a full ``L``-long match with no drop,
-means the string is illegal at that point.  One scanner, ``_scan``, does
-this walk and returns the offset just past each block; legality checks
-read only its verdict, and :func:`parse_blocks`,
+means the string is illegal at that point.  One scanner, ``_scan``, reads
+the string once, left to right, keeping only j, the position inside the
+current block: a digit below ``c_j`` closes a type-2 block, one equal to
+it moves j on (j reaching L fails), one above it fails, and a non-zero j
+at the end closes a type-1 block.  It returns the offset just past each
+block; legality checks read only its verdict, and :func:`parse_blocks`,
 :func:`second_to_last_block_size` and the block surgery slice the string
 at those offsets.
 """
@@ -23,6 +26,7 @@ at those offsets.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from operator import mul
 
 from .errors import (
     IllegalDecomposition,
@@ -82,27 +86,29 @@ def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool):
     if require_positive_leading and coeffs[0] < 1:
         return None, LegalityResult(False, "leading coefficient must be positive", 0)
 
+    c = spec.coefficients
+    L = len(c)
     ends: list[int] = []
-    pos = 0
-    while pos < n:
-        end = pos
-        for c in spec.coefficients:
-            if end == n:
-                break  # the string ends mid-prefix: a type-1 block closes it
-            a = coeffs[end]
-            if a > c:
+    j = 0  # position inside the current block
+    for end, a in enumerate(coeffs, 1):  # end: the offset just past a
+        cj = c[j]
+        if a < cj:
+            ends.append(end)  # the first strict drop closes a type-2 block
+            j = 0
+        elif a == cj:
+            j += 1
+            if j == L:
                 return None, LegalityResult(
-                    False, "coefficient exceeds the recurrence coefficient", end
+                    False,
+                    "matches the full coefficient prefix with no strict drop",
+                    end - L,
                 )
-            end += 1
-            if a < c:
-                break  # the first strict drop closes a type-2 block
         else:
             return None, LegalityResult(
-                False, "matches the full coefficient prefix with no strict drop", pos
+                False, "coefficient exceeds the recurrence coefficient", end - 1
             )
-        ends.append(end)
-        pos = end
+    if j:
+        ends.append(n)  # the string ends mid-prefix: a type-1 block closes it
     return ends, None
 
 
@@ -134,6 +140,9 @@ def _second_to_last(ends: list[int]) -> tuple[int, int]:
     return (ends[-3] if len(ends) > 2 else 0), ends[-2]
 
 
+_LEGAL = LegalityResult(True)  # frozen, so every legal verdict can share it
+
+
 def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
     """Check whether a coefficient string is a legal decomposition.
 
@@ -141,9 +150,10 @@ def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
     parse into blocks.  Malformed input (negative entries and the like) is
     reported as illegal with a reason, never raised.
     """
-    coeffs = list(coefficients)
-    _, failure = _scan(spec, coeffs, require_positive_leading=True)
-    return failure if failure is not None else LegalityResult(True)
+    if not isinstance(coefficients, (tuple, list)):
+        coefficients = list(coefficients)
+    _, failure = _scan(spec, coefficients, require_positive_leading=True)
+    return failure if failure is not None else _LEGAL
 
 
 @dataclass(frozen=True)
@@ -177,8 +187,9 @@ class Decomposition:
         """Construct without re-scanning; only for strings a generator just
         built block-by-block (the validation would re-derive the same parse)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coefficients", coefficients)
+        fields = self.__dict__  # frozen: fill the instance dict directly
+        fields["spec"] = spec
+        fields["coefficients"] = coefficients
         return self
 
     @property
@@ -229,6 +240,26 @@ class BlockParse:
         return "".join(str(b) for b in self.blocks)
 
 
+def _greedy(terms: tuple[int, ...], c: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The capped greedy digits of :func:`decompose`, largest first.
+
+    ``terms`` is ``(H_1, ..., H_n)`` with ``H_n <= m < H_{n+1}``; the
+    caller reads it once for as many integers as share that top index.
+    """
+    coeffs = []
+    rem, j = m, 0
+    for w in reversed(terms):  # H_n, largest first
+        a = rem // w if rem >= w else 0
+        if a >= c[j]:
+            a, j = c[j], j + 1
+        else:
+            j = 0
+        rem -= a * w
+        coeffs.append(a)
+    assert rem == 0  # the legal length-r tails cover [0, H_{r+1}) exactly
+    return tuple(coeffs)
+
+
 def decompose(table: SequenceTable, m: int) -> Decomposition:
     """The legal decomposition of the positive integer ``m``, greedily.
 
@@ -241,30 +272,20 @@ def decompose(table: SequenceTable, m: int) -> Decomposition:
     """
     if m < 1:
         raise NonPositiveInput(f"no decomposition for {m}; need a positive integer")
-    H = table.terms(table.extend_beyond(m))
-    c = table.spec.coefficients
-    coeffs = []
-    rem, j = m, 0
-    for w in reversed(H):  # H_n, largest first
-        a = rem // w
-        if a >= c[j]:
-            a, j = c[j], j + 1
-        else:
-            j = 0
-        rem -= a * w
-        coeffs.append(a)
-    assert rem == 0  # the legal length-r tails cover [0, H_{r+1}) exactly
-    return Decomposition._trusted(table.spec, tuple(coeffs))
+    terms = table.terms(table.extend_beyond(m))
+    return Decomposition._trusted(
+        table.spec, _greedy(terms, table.spec.coefficients, m)
+    )
 
 
 def value(table: SequenceTable, d: Decomposition) -> int:
     """Exact value ``a_1 H_m + ... + a_m H_1`` of a decomposition."""
-    if d.spec != table.spec:
+    if d.spec is not table.spec and d.spec != table.spec:
         raise SpecMismatch(
             f"decomposition spec {d.spec} does not match table spec {table.spec}"
         )
-    H = table.terms(d.m)
-    return sum(a * H[d.m - 1 - i] for i, a in enumerate(d.coefficients))
+    coeffs = d.coefficients
+    return sum(map(mul, reversed(coeffs), table.terms(len(coeffs))))
 
 
 def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
@@ -292,7 +313,10 @@ def second_to_last_block_size(spec: RecurrenceSpec, coefficients) -> int:
     :class:`TooFewBlocks` on single-block strings and
     :class:`IllegalDecomposition` on strings that do not parse.
     """
-    start, end = _second_to_last(_block_ends(spec, coefficients))
+    ends, failure = _scan(spec, coefficients, require_positive_leading=False)
+    if failure is not None:
+        raise _illegal(failure)
+    start, end = _second_to_last(ends)
     return sum(coefficients[start:end])
 
 

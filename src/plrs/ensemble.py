@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .decomposition import Decomposition, decompose, second_to_last_block_size
+from .decomposition import Decomposition, _greedy, decompose
 from .errors import (
     CapExceeded,
     EmptyConditionalEvent,
@@ -72,13 +72,25 @@ def enumerate_omega(spec: RecurrenceSpec, n: int) -> Iterator[Decomposition]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    trusted = Decomposition._trusted
+    for coeffs, _ in _walk(spec, n):
+        yield trusted(spec, coeffs)
+
+
+def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int | None]]:
+    """The walk of :func:`enumerate_omega`, yielding ``(coefficients, z)``.
+
+    ``z`` is the size of the second-to-last block, the block appended just
+    before the last one, or None for a single-block string.
+    """
     catalog = block_catalog(spec)
     lengths = catalog.length_table
     L = spec.length
     prefix_sums = [sum(spec.coefficients[:m]) for m in range(L)]
 
-    def choices(remaining: int, first: bool) -> Iterator[tuple[int, ...]]:
-        """The blocks that can start a rest of this length, in walk order."""
+    def choices(remaining: int, first: bool) -> list[tuple[tuple[int, ...], int]]:
+        """The (block, size) pairs that can start a rest of this length, in
+        walk order."""
         out = []
         for t in range(1 if first else 0, spec.size):
             if lengths[t] > remaining:
@@ -88,20 +100,24 @@ def enumerate_omega(spec: RecurrenceSpec, n: int) -> Iterator[Decomposition]:
             block = catalog.type1_blocks[remaining - 1].coefficients
             out.append((prefix_sums[remaining], 1, block))
         out.sort()
-        return iter([block for _, _, block in out])
+        return [(block, t) for t, _, block in out]
+
+    # The walk order of every shorter rest, built once per call.
+    orders = [None] + [choices(r, False) for r in range(1, n)]
 
     # Depth-first over the block sequence with an explicit stack, so deep
     # strings (a long run of short blocks) never hit the recursion limit.
-    # Each entry holds the string so far and the blocks still to try after it.
-    stack = [((), choices(n, True))]
+    # Each entry holds the string so far, the size of its last block and
+    # the blocks still to try after it.
+    stack = [((), None, iter(choices(n, True)))]
     while stack:
-        head, pending = stack[-1]
-        for block in pending:
+        head, last, pending = stack[-1]
+        for block, t in pending:
             coeffs = head + block
             if len(coeffs) == n:
-                yield Decomposition._trusted(spec, coeffs)
+                yield coeffs, last
             else:
-                stack.append((coeffs, choices(n - len(coeffs), False)))
+                stack.append((coeffs, t, iter(orders[n - len(coeffs)])))
                 break
         else:
             stack.pop()
@@ -114,16 +130,22 @@ def enumerate_by_integer_walk(
 
     The independent oracle for :func:`enumerate_omega` and the dynamic
     program: it reads the terms and coefficients, never the block grammar.
-    Raises :class:`CapExceeded` when the interval holds more than ``cap``
-    integers (pass ``cap=None`` to disable the guard).
+    Each integer goes through ``decomposition._greedy``, the capped greedy
+    digit loop that :func:`~plrs.decomposition.decompose` also runs; every
+    integer here has top index n, so the terms are read once.  Raises
+    :class:`CapExceeded` when the interval holds more than ``cap`` integers
+    (pass ``cap=None`` to disable the guard).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = table.term(n), table.term(n + 1)
     if cap is not None and hi - lo > cap:
         raise CapExceeded(hi - lo, cap)
+    spec, trusted = table.spec, Decomposition._trusted
+    c = spec.coefficients
+    terms = table.terms(n)  # H_n <= m < H_{n+1}: every m shares the top index
     for m in range(lo, hi):
-        yield decompose(table, m)
+        yield trusted(spec, _greedy(terms, c, m))
 
 
 @dataclass(frozen=True)
@@ -466,9 +488,8 @@ def conditional_tally(
     count = [0] * spec.size
     s1 = [0] * spec.size
     s2 = [0] * spec.size
-    for d in enumerate_omega(spec, n):
-        t = second_to_last_block_size(spec, d.coefficients)
-        k = d.summand_count
+    for coeffs, t in _walk(spec, n):
+        k = sum(coeffs)
         count[t] += 1
         s1[t] += k
         s2[t] += k * k

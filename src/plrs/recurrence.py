@@ -143,7 +143,8 @@ class SequenceTable:
 
     def terms(self, n: int) -> tuple[int, ...]:
         """Return ``(H_1, ..., H_n)``."""
-        self.extend(n)
+        if len(self._terms) < n:
+            self.extend(n)
         return tuple(self._terms[:n])
 
     def extend_beyond(self, value: int) -> int:

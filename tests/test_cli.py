@@ -64,6 +64,17 @@ def test_validate_exit_codes(capsys):
     assert code == 1 and out.startswith("illegal")
 
 
+@pytest.mark.parametrize("text", ["", "  "])
+def test_validate_empty_string_has_no_position(capsys, text):
+    code, out, _ = run(capsys, "--coeffs", "1,1", "validate", text)
+    assert (code, out) == (1, "illegal: empty coefficient string\n")
+    # csv and json keep their empty and null position
+    code, out, _ = run(capsys, "--coeffs", "1,1", "--format", "csv", "validate", text)
+    assert (code, out) == (1, "legal,reason,position\nfalse,empty coefficient string,\n")
+    code, out, _ = run(capsys, "--coeffs", "1,1", "--format", "json", "validate", text)
+    assert code == 1 and json.loads(out)["position"] is None
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run(capsys, "--coeffs", "1,1", "--format", "csv", "enumerate", "3")
     assert code == 0
@@ -235,14 +246,15 @@ def test_cap_below_one_exits_2(monkeypatch, capsys, env, flag, source):
 def test_identities_enumerate_the_space_once(monkeypatch, capsys):
     import plrs.ensemble
 
+    # _walk is the grammar walk behind enumerate_omega and conditional_tally
     walks = []
-    real = plrs.ensemble.enumerate_omega
+    real = plrs.ensemble._walk
 
     def counting(spec, n):
         walks.append(n)
         return real(spec, n)
 
-    monkeypatch.setattr(plrs.ensemble, "enumerate_omega", counting)
+    monkeypatch.setattr(plrs.ensemble, "_walk", counting)
     code, out, _ = run(capsys, "--coeffs", "2,2,0,2", "--format", "csv", "identities", "9")
     assert code == 0
     assert len(out.splitlines()) == 1 + 2 + 2 * 6

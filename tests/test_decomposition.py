@@ -23,6 +23,8 @@ from plrs import (
     value,
 )
 
+from plrs.decomposition import _scan
+
 from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
 
@@ -79,10 +81,11 @@ def test_is_legal_matches_definition_random(coeffs, a):
 
 
 @st.composite
-def _block_built(draw):
+def _block_built(draw, digits=lambda coeffs: st.integers(0, 5)):
     """A spec and a string glued from its catalog blocks: type-2 blocks of
     random sizes (the first positive), optionally closed by a type-1 block,
-    with one entry overwritten half of the time so both verdicts occur."""
+    with one entry overwritten half of the time (by a draw from
+    ``digits(coeffs)``) so both verdicts occur."""
     coeffs = draw(RANDOM_SPECS)
     catalog = block_catalog(validate_spec(coeffs))
     size = st.integers(min_value=0, max_value=len(catalog.type2_by_size) - 1)
@@ -91,7 +94,7 @@ def _block_built(draw):
     if catalog.type1_blocks and draw(st.booleans()):
         a += draw(st.sampled_from(catalog.type1_blocks)).coefficients
     if draw(st.booleans()):
-        a[draw(st.integers(0, len(a) - 1))] = draw(st.integers(0, 5))
+        a[draw(st.integers(0, len(a) - 1))] = draw(digits(coeffs))
     return coeffs, a
 
 
@@ -99,6 +102,71 @@ def _block_built(draw):
 def test_is_legal_matches_definition_block_built(case):
     # the same assertions as the uniform test, on mostly legal strings
     test_is_legal_matches_definition_random.hypothesis.inner_test(*case)
+
+
+# -- the nested-loop scanner, kept as the reference for the one-pass _scan -----
+
+def _reference_scan(c, a, require_positive_leading):
+    """The scanner as first written: from each block start, walk the prefix
+    ``c_1, c_2, ...`` until a strict drop, the end of the string, or a
+    failure.  Returns ``(ends, reason, position)``."""
+    n = len(a)
+    if n == 0:
+        return None, "empty coefficient string", None
+    if min(a) < 0:
+        first = next(i for i, x in enumerate(a) if x < 0)
+        return None, "negative coefficient", first
+    if require_positive_leading and a[0] < 1:
+        return None, "leading coefficient must be positive", 0
+    ends = []
+    pos = 0
+    while pos < n:
+        end = pos
+        for ci in c:
+            if end == n:
+                break  # the string ends mid-prefix: a type-1 block closes it
+            x = a[end]
+            if x > ci:
+                return None, "coefficient exceeds the recurrence coefficient", end
+            end += 1
+            if x < ci:
+                break  # the first strict drop closes a type-2 block
+        else:
+            return None, "matches the full coefficient prefix with no strict drop", pos
+        ends.append(end)
+        pos = end
+    return ends, None, None
+
+
+def _scan_digits(coeffs):
+    """One below zero up to two above the largest coefficient."""
+    return st.integers(min_value=-1, max_value=max(coeffs) + 2)
+
+
+@st.composite
+def _uniform_case(draw):
+    coeffs = draw(RANDOM_SPECS)
+    return coeffs, draw(st.lists(_scan_digits(coeffs), max_size=14))
+
+
+@given(st.one_of(_uniform_case(), _block_built(_scan_digits)))
+@example(((1, 1), [1, 1, 0]))  # full prefix at the start
+@example(((2, 2, 0, 2), [1, 2, 2, 0, 2, 0]))  # full prefix in the middle
+@example(((1, 1), [1, 0, 1, 1]))  # full prefix at the end
+@example(((2, 2, 0, 2), [2, 2, 1, 0]))  # exceeds
+@example(((1, 1), [1, 0, -1]))  # negative
+@example(((1, 1), []))  # empty
+@example(((1, 1), [0, 1]))  # leading zero
+@example(((2, 2, 0, 2), [1, 2, 2]))  # closed by a type-1 block
+def test_scan_matches_nested_loop_reference(case):
+    coeffs, a = case
+    spec = validate_spec(coeffs)
+    for leading in (True, False):
+        ends, failure = _scan(spec, a, leading)
+        got = (ends, None, None) if failure is None else (
+            None, failure.reason, failure.position
+        )
+        assert got == _reference_scan(coeffs, a, leading), leading
 
 
 def test_is_legal_goldens(fib, h2202):

@@ -16,6 +16,7 @@ from plrs import (
     SummandTable,
     conditional_mean_check,
     conditional_tally,
+    decompose,
     enumerate_by_integer_walk,
     enumerate_omega,
     estimate_growth,
@@ -79,6 +80,24 @@ def test_enumerators_agree_on_random_specs(coeffs):
         assert all(is_legal(spec, c) for c in grammar), n
         walk = {d.coefficients for d in enumerate_by_integer_walk(table, n)}
         assert set(grammar) == walk, n
+        n += 1
+
+
+@given(RANDOM_SPECS)
+def test_integer_walk_is_greedy_decompose(coeffs):
+    # The walk shares decompose's digit loop but reads the terms once per
+    # index; it must still give decompose's answer for every integer, and
+    # value must agree with the sum written out term by term.
+    spec = validate_spec(coeffs)
+    table = SequenceTable(spec)
+    n = 1
+    while (hi := table.term(n + 1)) - (lo := table.term(n)) <= 500:
+        walk = list(enumerate_by_integer_walk(table, n))
+        assert walk == [decompose(table, m) for m in range(lo, hi)], n
+        for m, d in zip(range(lo, hi), walk):
+            a = d.coefficients
+            direct = sum(a[i] * table.term(d.m - i) for i in range(d.m))
+            assert value(table, d) == direct == m
         n += 1
 
 
