@@ -9,12 +9,20 @@ subcommand handler returns its result as one :class:`Payload` (a json
 object, csv rows, and table text where that differs from the csv), and
 one emitter writes it in the chosen format.
 
+One table, ``_SUBCOMMANDS``, declares every subcommand once: its handler,
+help line, whether it needs a positive index n, and its own arguments.
+The parser is built from it once, at import, and ``main`` dispatches
+through it.  Every flag's dest is a :class:`RunConfig` field, and the
+config file's keys are those field names, so one loop merges a flag, its
+config key and the field default, in that order of precedence.
+
 Exit codes: 0 success (all checks pass), 1 verification failure (a bound
 or identity failed, or a string was judged illegal), 2 usage/config error.
 
-The enumeration cap defaults to the ``PLRS_ENUM_CAP`` environment variable
-when set; the ``--cap`` flag overrides both.  Every source of the cap that is
-set must give an integer >= 1, or the run stops with a one-line usage error.
+The enumeration cap falls back from ``--cap`` and its config key to the
+``PLRS_ENUM_CAP`` environment variable, then to ``DEFAULT_ENUM_CAP``.  Every
+source of the cap that is set must give an integer >= 1, or the run stops
+with a one-line usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .decomposition import (
     decompose,
@@ -80,76 +88,11 @@ class RunConfig:
     output: str | None = None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="plrs",
-        description="Positive linear recurrence sequences, legal decompositions, "
-        "and exact summand-count statistics.",
-    )
-    parser.add_argument(
-        "--coeffs",
-        help="recurrence coefficients, comma separated (e.g. '2,2,0,2')",
-    )
-    parser.add_argument("--config", help="JSON RunConfig file; flags override it")
-    parser.add_argument(
-        "--format", choices=("table", "csv", "json"), default=None,
-        help="output format (default: table)",
-    )
-    parser.add_argument("--output", help="write the payload to this file")
-    parser.add_argument(
-        "--cap", type=int, default=None,
-        help="enumeration cap (default: $PLRS_ENUM_CAP or %d)" % DEFAULT_ENUM_CAP,
-    )
-    parser.add_argument(
-        "--precision-bits", type=int, default=None,
-        help="mantissa bits for the growth-constant estimates (default 128)",
-    )
-
-    sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("seq", help="print the terms H_1..H_n")
-    p.add_argument("n", type=int, nargs="?")
-
-    sub.add_parser("blocks", help="print the block catalog and the size-to-length table")
-
-    p = sub.add_parser("decompose", help="decompose a positive integer")
-    p.add_argument("n", metavar="m", type=int, nargs="?")
-
-    p = sub.add_parser("validate", help="check a coefficient string, e.g. '1 0 1'")
-    p.add_argument("text", nargs="?")
-
-    p = sub.add_parser("enumerate", help="list the outcome space at index n")
-    p.add_argument("n", type=int, nargs="?")
-
-    p = sub.add_parser("poly", help="exact summand-count histogram at index n")
-    p.add_argument("n", type=int, nargs="?")
-
-    p = sub.add_parser("stats", help="exact moments of the summand count at index n")
-    p.add_argument("n", type=int, nargs="?")
-
-    p = sub.add_parser("zdist", help="distribution of the second-to-last block size")
-    p.add_argument("n", type=int, nargs="?")
-
-    p = sub.add_parser("identities", help="check the removal identities at index n")
-    p.add_argument("n", type=int, nargs="?")
-
-    p = sub.add_parser("verify", help="verify the linear variance lower bound")
-    p.add_argument("--n-max", type=int, default=None)
-
-    p = sub.add_parser("gauss", help="skewness/kurtosis trend diagnostics")
-    p.add_argument("--n-list", default=None, help="comma-separated indices")
-
-    p = sub.add_parser("sample", help="sample decompositions uniformly at index n")
-    p.add_argument("n", type=int, nargs="?")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    return parser
-
-
-# Config keys whose values must be JSON integers; every other RunConfig key
-# takes a string ("coefficients" also takes a list).
-_INT_KEYS = frozenset({"n", "n_max", "seed", "samples", "cap", "precision_bits"})
+# Config keys whose values must be JSON integers: the int fields of RunConfig.
+# Every other key takes a string ("coefficients" also takes a list).
+_INT_KEYS = frozenset(
+    name for name, f in RunConfig.__dataclass_fields__.items() if f.type.startswith("int")
+)
 
 
 def _check_config_types(data: dict) -> None:
@@ -176,6 +119,8 @@ def _check_config_types(data: dict) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Each field from its flag, else its config key, else its default; the
+    cap defaults to ``PLRS_ENUM_CAP`` before ``DEFAULT_ENUM_CAP``."""
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -184,20 +129,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("config file must hold a JSON object")
         _check_config_types(data)
 
-    def pick(cli_value, key, default=None):
-        if cli_value is not None:
-            return cli_value
-        if key in data and data[key] is not None:
-            return data[key]
-        return default
+    merged = {}
+    for name in RunConfig.__dataclass_fields__:
+        value = getattr(args, name, None)
+        if value is None:
+            value = data.get(name)
+        if value is not None:
+            merged[name] = value
+    cfg = RunConfig(**merged)
 
-    coeffs = pick(args.coeffs, "coefficients")
-    if isinstance(coeffs, (list, tuple)):
-        coeffs = ",".join(str(c) for c in coeffs)
-
-    fmt = pick(args.format, "format", "table")
-    if fmt not in ("table", "csv", "json"):
-        raise ValueError(f"unknown format {fmt!r} (choose table, csv, or json)")
+    if isinstance(cfg.coefficients, list):
+        cfg.coefficients = ",".join(str(c) for c in cfg.coefficients)
+    if cfg.format not in ("table", "csv", "json"):
+        raise ValueError(f"unknown format {cfg.format!r} (choose table, csv, or json)")
 
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"--cap must be an integer >= 1, got {args.cap}")
@@ -213,21 +157,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 f"environment variable PLRS_ENUM_CAP must be an integer >= 1, "
                 f"got {env_cap!r}"
             )
-
-    return RunConfig(
-        coefficients=coeffs,
-        subcommand=pick(args.subcommand, "subcommand"),
-        n=pick(getattr(args, "n", None), "n"),
-        n_max=pick(getattr(args, "n_max", None), "n_max"),
-        n_list=pick(getattr(args, "n_list", None), "n_list"),
-        text=pick(getattr(args, "text", None), "text"),
-        format=fmt,
-        seed=pick(getattr(args, "seed", None), "seed"),
-        samples=pick(getattr(args, "samples", None), "samples"),
-        cap=pick(args.cap, "cap", cap_default),
-        precision_bits=pick(args.precision_bits, "precision_bits", DEFAULT_PRECISION_BITS),
-        output=pick(args.output, "output"),
-    )
+    if cfg.cap is None:
+        cfg.cap = cap_default
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -311,7 +243,6 @@ def _outcomes(head: dict, key: str, rows: list, footer: str = "") -> Payload:
 
 
 def _cmd_seq(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "seq needs a positive index n")
     spec = _spec(cfg)
     terms = SequenceTable(spec, cfg.n).terms(cfg.n)
     return 0, Payload(
@@ -421,7 +352,6 @@ def _cmd_validate(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_enumerate(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "enumerate needs a positive index n")
     spec = _spec(cfg)
     table = SequenceTable(spec)
     count = table.term(cfg.n + 1) - table.term(cfg.n)
@@ -433,7 +363,6 @@ def _cmd_enumerate(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_poly(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "poly needs a positive index n")
     spec = _spec(cfg)
     poly = SummandTable(spec).polynomial(cfg.n)
 
@@ -454,7 +383,6 @@ def _cmd_poly(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_stats(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "stats needs a positive index n")
     spec = _spec(cfg)
     s = SummandTable(spec).stats(cfg.n)
     fields = {
@@ -480,7 +408,6 @@ def _cmd_stats(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_zdist(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "zdist needs a positive index n")
     spec = _spec(cfg)
     zd = z_distribution(spec, cfg.n, cap=cfg.cap)
     checked = zd.empirical_counts is not None
@@ -513,7 +440,6 @@ def _cmd_zdist(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "identities needs a positive index n")
     spec = _spec(cfg)
     engine = SummandTable(spec)
     rows = []
@@ -616,7 +542,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
 
 def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
-    text = cfg.n_list or "50,100,200,400"
+    text = "50,100,200,400" if cfg.n_list is None else cfg.n_list
     ns = [int(part) for part in text.split(",") if part.strip()]
     _require(ns, "gauss needs a non-empty --n-list")
     rows = gaussian_diagnostics(SummandTable(spec), ns)
@@ -631,16 +557,7 @@ def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     return 0, Payload(
         data=lambda: {
             "coefficients": str(spec),
-            "rows": [
-                {
-                    "n": r.n,
-                    "skewness": repr(r.skewness),
-                    "excess_kurtosis": repr(r.excess_kurtosis),
-                    "skewness_squared": format_fraction(r.skewness_squared),
-                    "excess_kurtosis_exact": format_fraction(r.excess_kurtosis_exact),
-                }
-                for r in rows
-            ],
+            "rows": [r.to_json_dict() for r in rows],
         },
         header="n,skewness,excess_kurtosis",
         rows=lambda: ((r.n, repr(r.skewness), repr(r.excess_kurtosis)) for r in rows),
@@ -649,7 +566,6 @@ def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
 
 
 def _cmd_sample(cfg: RunConfig) -> tuple[int, Payload]:
-    _require(cfg.n is not None and cfg.n >= 1, "sample needs a positive index n")
     _require(cfg.seed is not None, "sample needs an explicit --seed")
     count = cfg.samples if cfg.samples is not None else 10
     _require(count >= 1, "--samples must be >= 1")
@@ -660,20 +576,90 @@ def _cmd_sample(cfg: RunConfig) -> tuple[int, Payload]:
     return 0, _outcomes(head, "draws", rows)
 
 
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "blocks": _cmd_blocks,
-    "decompose": _cmd_decompose,
-    "validate": _cmd_validate,
-    "enumerate": _cmd_enumerate,
-    "poly": _cmd_poly,
-    "stats": _cmd_stats,
-    "zdist": _cmd_zdist,
-    "identities": _cmd_identities,
-    "verify": _cmd_verify,
-    "gauss": _cmd_gauss,
-    "sample": _cmd_sample,
+class _Subcommand(NamedTuple):
+    """One subcommand: its handler, its help line, whether it needs a
+    positive index n, and its own arguments as ``(name, add_argument
+    keywords)`` pairs.  Every argument's dest is a :class:`RunConfig` field."""
+
+    handler: Callable[[RunConfig], tuple[int, Payload]]
+    help: str
+    needs_index: bool = False
+    args: tuple[tuple[str, dict], ...] = ()
+
+
+_INDEX = ("n", {"type": int, "nargs": "?"})
+_INT = {"type": int}
+
+_SUBCOMMANDS = {
+    "seq": _Subcommand(_cmd_seq, "print the terms H_1..H_n", True, (_INDEX,)),
+    "blocks": _Subcommand(_cmd_blocks, "print the block catalog and the size-to-length table"),
+    "decompose": _Subcommand(
+        _cmd_decompose, "decompose a positive integer", False,
+        (("n", {"metavar": "m", "type": int, "nargs": "?"}),),
+    ),
+    "validate": _Subcommand(
+        _cmd_validate, "check a coefficient string, e.g. '1 0 1'", False,
+        (("text", {"nargs": "?"}),),
+    ),
+    "enumerate": _Subcommand(_cmd_enumerate, "list the outcome space at index n", True, (_INDEX,)),
+    "poly": _Subcommand(_cmd_poly, "exact summand-count histogram at index n", True, (_INDEX,)),
+    "stats": _Subcommand(
+        _cmd_stats, "exact moments of the summand count at index n", True, (_INDEX,)
+    ),
+    "zdist": _Subcommand(
+        _cmd_zdist, "distribution of the second-to-last block size", True, (_INDEX,)
+    ),
+    "identities": _Subcommand(
+        _cmd_identities, "check the removal identities at index n", True, (_INDEX,)
+    ),
+    "verify": _Subcommand(
+        _cmd_verify, "verify the linear variance lower bound", False, (("--n-max", _INT),)
+    ),
+    "gauss": _Subcommand(
+        _cmd_gauss, "skewness/kurtosis trend diagnostics", False,
+        (("--n-list", {"help": "comma-separated indices"}),),
+    ),
+    "sample": _Subcommand(
+        _cmd_sample, "sample decompositions uniformly at index n", True,
+        (_INDEX, ("--samples", _INT), ("--seed", _INT)),
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="plrs",
+        description="Positive linear recurrence sequences, legal decompositions, "
+        "and exact summand-count statistics.",
+    )
+    parser.add_argument(
+        "--coeffs", dest="coefficients", metavar="COEFFS",
+        help="recurrence coefficients, comma separated (e.g. '2,2,0,2')",
+    )
+    parser.add_argument("--config", help="JSON RunConfig file; flags override it")
+    parser.add_argument(
+        "--format", choices=("table", "csv", "json"),
+        help="output format (default: table)",
+    )
+    parser.add_argument("--output", help="write the payload to this file")
+    parser.add_argument(
+        "--cap", type=int,
+        help="enumeration cap (default: $PLRS_ENUM_CAP or %d)" % DEFAULT_ENUM_CAP,
+    )
+    parser.add_argument(
+        "--precision-bits", type=int,
+        help="mantissa bits for the growth-constant estimates (default 128)",
+    )
+    sub = parser.add_subparsers(dest="subcommand")
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, options in command.args:
+            p.add_argument(arg, **options)
+    return parser
+
+
+# Built once: main is called many times in one process by tests and benchmarks.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
@@ -681,23 +667,27 @@ def main(argv=None) -> int:
     # conversion (3.11+) long before the arithmetic gets slow.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _merge_config(args)
         if not cfg.subcommand:
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             print("plrs: error: no subcommand given", file=sys.stderr)
             return 2
-        handler = _HANDLERS.get(cfg.subcommand)
-        if handler is None:
+        command = _SUBCOMMANDS.get(cfg.subcommand)
+        if command is None:
             print(f"plrs: error: unknown subcommand {cfg.subcommand!r}", file=sys.stderr)
             return 2
-        code, payload = handler(cfg)
+        if command.needs_index:
+            _require(
+                cfg.n is not None and cfg.n >= 1,
+                f"{cfg.subcommand} needs a positive index n",
+            )
+        code, payload = command.handler(cfg)
         _emit(cfg, payload)
         return code
     except (BoundViolated, NoThresholdInRange, NonPositiveC, EmptyConditionalEvent) as exc:

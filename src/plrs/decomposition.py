@@ -148,10 +148,19 @@ def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
 
     The leading coefficient must be positive; the rest of the string must
     parse into blocks.  Malformed input (negative entries and the like) is
-    reported as illegal with a reason, never raised.
+    reported as illegal with a reason, never raised; an entry that is not an
+    ``int`` (a ``bool`` counts as one) reads "non-integer coefficient".
     """
     if not isinstance(coefficients, (tuple, list)):
         coefficients = list(coefficients)
+    try:
+        ints = type(sum(coefficients)) is int  # one C-level pass when all are ints
+    except TypeError:
+        ints = False
+    if not ints:
+        for i, a in enumerate(coefficients):
+            if not isinstance(a, int):
+                return LegalityResult(False, "non-integer coefficient", i)
     _, failure = _scan(spec, coefficients, require_positive_leading=True)
     return failure if failure is not None else _LEGAL
 

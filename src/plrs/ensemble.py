@@ -20,7 +20,7 @@ Counts are exact integers, probabilities and moments exact rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
@@ -172,25 +172,26 @@ class EnsembleStats:
     ``raw_sums`` holds the integer sums ``A_j = sum_k k^j * count_k``,
     j = 0..4, that every moment is built from; with the cardinality
     ``A_0`` they determine the moments and back, so equality of two stats
-    compares all four.  ``mean`` and ``variance`` are built up front;
-    ``central3`` and ``central4``, read only by the shape diagnostics, on
-    first use.  Each moment is one fraction: an integer numerator over a
-    power of ``T = A_0``.
+    compares all four.  Each moment is built on first use as one fraction:
+    an integer numerator over a power of ``T = A_0``.
     """
 
     n: int
     raw_sums: tuple[int, int, int, int, int]
-    mean: Fraction = field(init=False, compare=False)
-    variance: Fraction = field(init=False, compare=False)
-
-    def __post_init__(self):
-        T, s1, s2 = self.raw_sums[:3]
-        object.__setattr__(self, "mean", Fraction(s1, T))
-        object.__setattr__(self, "variance", Fraction(T * s2 - s1 * s1, T * T))
 
     @property
     def cardinality(self) -> int:
         return self.raw_sums[0]
+
+    @cached_property
+    def mean(self) -> Fraction:
+        T, s1 = self.raw_sums[:2]
+        return Fraction(s1, T)
+
+    @cached_property
+    def variance(self) -> Fraction:
+        T, s1, s2 = self.raw_sums[:3]
+        return Fraction(T * s2 - s1 * s1, T * T)
 
     @cached_property
     def central3(self) -> Fraction:

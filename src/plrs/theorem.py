@@ -2,15 +2,19 @@
 
 The mean summand count grows like ``a*n + b`` up to a vanishing residual
 ``f(n)``.  This module estimates ``a`` and ``b`` by differencing the exact
-means, tabulates ``f``, and then verifies the chain that yields a positive
-constant ``c`` with ``Var[K_n] >= c*n`` for every ``n > L``:
+means, tabulates ``f``, and then runs the chain that yields a positive
+constant ``c`` with ``Var[K_n] >= c*n``:
 
 1. the centered statistic of the second-to-last block,
    ``Y_n = Z_n + f(n - L_n) - a*L_n``, has mean exactly ``f(n)`` and
    eventually ``Var[Y_n] > a^2 / (2S)``;
 2. past the threshold N where that bound holds, the constant
    ``c = min(Var[K_{L+1}]/(L+1), ..., Var[K_N]/N, a^2/(2SL))``
-   is positive and ``Var[K_n] >= c*n`` holds everywhere above L.
+   is positive, and ``Var[K_n] >= c*n`` follows for every n above L.
+
+What is checked is finite: ``Var[K_n] >= c*n`` is compared exactly for
+``L < n <= n_max`` only.  The step to every larger n rests on the Y bound
+of step 1, and that bound is observed only up to ``n_max``, not proved.
 
 Everything downstream of the estimation step is exact: ``a`` and ``b`` are
 rounded once to dyadic rationals with a configurable number of bits
@@ -314,6 +318,17 @@ class GaussianRow:
     skewness_squared: Fraction
     excess_kurtosis_exact: Fraction
 
+    def to_json_dict(self) -> dict:
+        """The row as ``gauss`` and ``verify`` write it: floats as their
+        ``repr``, exact values as ``p/q`` strings."""
+        return {
+            "n": self.n,
+            "skewness": repr(self.skewness),
+            "excess_kurtosis": repr(self.excess_kurtosis),
+            "skewness_squared": format_fraction(self.skewness_squared),
+            "excess_kurtosis_exact": format_fraction(self.excess_kurtosis_exact),
+        }
+
 
 def gaussian_diagnostics(engine: SummandTable, n_list) -> tuple[GaussianRow, ...]:
     """Exact skewness and excess kurtosis at the given indices.
@@ -466,16 +481,7 @@ class TheoremReport:
                 }
                 for row in self.per_n
             ],
-            "gaussian": [
-                {
-                    "n": row.n,
-                    "skewness": repr(row.skewness),
-                    "excess_kurtosis": repr(row.excess_kurtosis),
-                    "skewness_squared": format_fraction(row.skewness_squared),
-                    "excess_kurtosis_exact": format_fraction(row.excess_kurtosis_exact),
-                }
-                for row in self.gaussian
-            ],
+            "gaussian": [row.to_json_dict() for row in self.gaussian],
         }
 
 

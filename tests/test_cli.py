@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from plrs.cli import main
+from plrs.cli import RunConfig, main
 
 
 def run(capsys, *argv):
@@ -325,6 +325,70 @@ def test_config_type_errors_exit_2(tmp_path, capsys, data):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_gauss_empty_n_list_exits_2(tmp_path, capsys, route):
+    # an empty list is an error, like ','; only a missing list means the default
+    if route == "flag":
+        argv = ["--coeffs", "1,1", "gauss", "--n-list", ""]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"coefficients": "1,1", "subcommand": "gauss", "n_list": ""}))
+        argv = ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "plrs: error: gauss needs a non-empty --n-list\n")
+
+
+# Per RunConfig field except the subcommand: (value by flag, argv that sets it
+# by flag, argv that leaves it to the config, value for the config to lose).
+SETTINGS = {
+    "coefficients": ("1,1", ["--coeffs", "1,1", "seq", "3"], ["seq", "3"], "1,2"),
+    "n": (3, ["seq", "3"], ["seq"], 4),
+    "n_max": (40, ["verify", "--n-max", "40"], ["verify"], 50),
+    "n_list": ("20,30", ["gauss", "--n-list", "20,30"], ["gauss"], "20"),
+    "text": ("1 0 1", ["validate", "1 0 1"], ["validate"], "1 1"),
+    "format": ("csv", ["--format", "csv", "seq", "3"], ["seq", "3"], "json"),
+    "seed": (3, ["sample", "5", "--seed", "3"], ["sample", "5"], 4),
+    "samples": (2, ["sample", "5", "--seed", "1", "--samples", "2"],
+                ["sample", "5", "--seed", "1"], 3),
+    "cap": (7, ["--cap", "7", "seq", "3"], ["seq", "3"], 8),
+    "precision_bits": (64, ["--precision-bits", "64", "seq", "3"], ["seq", "3"], 96),
+    "output": ("out.txt", ["--output", "out.txt", "seq", "3"], ["seq", "3"], "other.txt"),
+}
+
+
+def merged_config(monkeypatch, tmp_path, argv, data=None) -> RunConfig:
+    """The RunConfig that main hands to the emitter for argv plus a config."""
+    import plrs.cli
+
+    seen = []
+    monkeypatch.setattr(plrs.cli, "_emit", lambda cfg, payload: seen.append(cfg))
+    if data is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        argv = ["--config", str(path), *argv]
+    if "--coeffs" not in argv and "coefficients" not in (data or {}):
+        argv = ["--coeffs", "1,1", *argv]
+    assert main(argv) in (0, 1)
+    (cfg,) = seen
+    return cfg
+
+
+def test_settings_cover_run_config():
+    assert set(SETTINGS) == set(RunConfig.__dataclass_fields__) - {"subcommand"}
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_every_setting_by_flag_and_by_config(monkeypatch, tmp_path, name):
+    value, with_flag, without_flag, loser = SETTINGS[name]
+    by_flag = merged_config(monkeypatch, tmp_path, with_flag)
+    by_config = merged_config(monkeypatch, tmp_path, without_flag, {name: value})
+    assert getattr(by_flag, name) == value
+    assert by_flag == by_config
+    # given both ways, the flag wins
+    both = merged_config(monkeypatch, tmp_path, with_flag, {name: loser})
+    assert both == by_flag
+
+
 @pytest.fixture
 def default_int_digits():
     """CPython's default int<->str digit limit (3.11+), restored afterwards."""
@@ -349,6 +413,34 @@ def test_values_past_the_int_digit_limit(default_int_digits, capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
+
+
+# sha256 prefixes of the --help text at 80 columns, top level under "", as
+# argparse of Python 3.11 lays it out.
+HELP_DIGESTS = {
+    "": "7a1ae1ddb469dac8",
+    "seq": "619aa18c2e239a5e",
+    "blocks": "fda33829c0c287eb",
+    "decompose": "95cb6d311a021299",
+    "validate": "f04eb6742c4f4b84",
+    "enumerate": "cdcf43aebff85902",
+    "poly": "bcc0a19c719f3788",
+    "stats": "5b3b7ceb2e4a1ba1",
+    "zdist": "c6be75e8a5667041",
+    "identities": "b1a8070f8c504fe4",
+    "verify": "9a0b725e9b2a1836",
+    "gauss": "e47da1c297bf015d",
+    "sample": "55762cae0a9af062",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout differs by version")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_bytes_unchanged(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert _digest(out) == HELP_DIGESTS[command]
 
 
 # -- byte identity of every payload ------------------------------------------------

@@ -23,7 +23,7 @@ from plrs import (
     value,
 )
 
-from plrs.decomposition import _scan
+from plrs.decomposition import LegalityResult, _scan
 
 from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
@@ -178,6 +178,29 @@ def test_is_legal_goldens(fib, h2202):
     assert not is_legal(fib, ())
     bad = is_legal(fib, (1, -2))
     assert not bad and bad.reason == "negative coefficient" and bad.position == 1
+
+
+@pytest.mark.parametrize(
+    "coeffs, position",
+    [
+        ("101", 0),
+        ([1, None], 1),
+        ([1.5, 0], 0),
+        ([1.0, 0], 0),
+        ([1, 0, 1.0], 2),
+        ([-1, "x"], 1),
+        ((a for a in [1, 0, None]), 2),
+    ],
+    ids=["str", "none", "float-above", "float-equal", "float-last", "after-negative",
+         "generator"],
+)
+def test_is_legal_reports_non_integer_entries(fib, coeffs, position):
+    assert is_legal(fib, coeffs) == LegalityResult(False, "non-integer coefficient", position)
+
+
+def test_is_legal_takes_bools_as_ints(fib):
+    assert is_legal(fib, [True, False, True])
+    assert is_legal(fib, [True, True]) == is_legal(fib, [1, 1])
 
 
 # -- greedy decomposition ----------------------------------------------------
