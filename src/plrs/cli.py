@@ -22,7 +22,8 @@ or identity failed, or a string was judged illegal), 2 usage/config error.
 The enumeration cap falls back from ``--cap`` and its config key to the
 ``PLRS_ENUM_CAP`` environment variable, then to ``DEFAULT_ENUM_CAP``.  Every
 source of the cap that is set must give an integer >= 1, or the run stops
-with a one-line usage error.
+with a one-line usage error.  The precision, from ``--precision-bits`` or
+its config key, must lie in [1, ``MAX_PRECISION_BITS``].
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ from .theorem import (
     verify_variance_bound,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "RunConfig", "MAX_PRECISION_BITS"]
+
+# The largest --precision-bits accepted: far beyond any useful mantissa, and
+# small enough that rounding to it never allocates more than a few kB.
+MAX_PRECISION_BITS = 65536
 
 
 @dataclass
@@ -142,6 +147,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         cfg.coefficients = ",".join(str(c) for c in cfg.coefficients)
     if cfg.format not in ("table", "csv", "json"):
         raise ValueError(f"unknown format {cfg.format!r} (choose table, csv, or json)")
+    if not 1 <= cfg.precision_bits <= MAX_PRECISION_BITS:
+        raise ValueError(
+            f"--precision-bits (config key precision_bits) must be an integer in "
+            f"[1, {MAX_PRECISION_BITS}], got {cfg.precision_bits}"
+        )
 
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"--cap must be an integer >= 1, got {args.cap}")
@@ -648,7 +658,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--precision-bits", type=int,
-        help="mantissa bits for the growth-constant estimates (default 128)",
+        help="mantissa bits for the growth-constant estimates "
+        f"(default 128, at most {MAX_PRECISION_BITS})",
     )
     sub = parser.add_subparsers(dest="subcommand")
     for name, command in _SUBCOMMANDS.items():
@@ -698,7 +709,7 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         # covers the validation family of PlrsError plus plain bad input,
-        # and a precision too large to shift by
+        # and sizes too large to compute with
         print(f"plrs: error: {exc}", file=sys.stderr)
         return 2
     except PlrsError as exc:

@@ -15,18 +15,24 @@ matched against the prefix ``c_1, c_2, ...`` until the first strict drop
 coefficient above its ``c_i``, or a full ``L``-long match with no drop,
 means the string is illegal at that point.  One scanner, ``_scan``, reads
 the string once, left to right, keeping only j, the position inside the
-current block: a digit below ``c_j`` closes a type-2 block, one equal to
-it moves j on (j reaching L fails), one above it fails, and a non-zero j
-at the end closes a type-1 block.  It returns the offset just past each
-block; legality checks read only its verdict, and :func:`parse_blocks`,
-:func:`second_to_last_block_size` and the block surgery slice the string
-at those offsets.
+current block: a digit below ``c_j`` closes a type-2 block of length
+j + 1, one equal to it moves j on (j reaching L fails), one above it
+fails, and a non-zero j at the end closes a type-1 block of length j.
+Legality checks read only its verdict and collect nothing per block.
+:func:`parse_blocks` asks it for the length of every block;
+:func:`second_to_last_block_size` and the block surgery read the last two
+of those lengths and slice the string there.
+
+:func:`decompose` runs the capped greedy digit loop, ``_greedy``, which
+can resume at any position from the block state and the value of the
+digits before it; the integer walk of :mod:`plrs.ensemble` steps from one
+integer to the next that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from operator import mul
+from operator import length_hint
 
 from .errors import (
     IllegalDecomposition,
@@ -69,47 +75,60 @@ class LegalityResult:
         return self.ok
 
 
-def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool):
+def _failure(coeffs, reason: str, position: int | None) -> LegalityResult:
+    """A failed scan.  A negative entry anywhere outranks the failure the
+    scan met, so the first one is reported instead."""
+    if min(coeffs) < 0:
+        reason = "negative coefficient"
+        position = next(i for i, a in enumerate(coeffs) if a < 0)
+    return LegalityResult(False, reason, position)
+
+
+def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=None):
     """Split ``coeffs`` into blocks; the one parse every reader shares.
 
-    Returns ``(ends, None)`` on success, where ``ends[i]`` is the offset
-    just past block i (so ``ends[-1] == len(coeffs)``), or
-    ``(None, LegalityResult)`` on failure.  Positions in failures are
-    0-based indices into ``coeffs``.
+    Returns None when the string parses and the failing
+    :class:`LegalityResult` otherwise, its position a 0-based index into
+    ``coeffs``.  ``coeffs`` is a tuple or a list.  When ``lengths`` is a
+    list, the length of each block is appended to it, left to right;
+    verdict readers pass nothing and pay nothing per block.
     """
     n = len(coeffs)
     if n == 0:
-        return None, LegalityResult(False, "empty coefficient string", None)
-    if min(coeffs) < 0:
-        first = next(i for i, a in enumerate(coeffs) if a < 0)
-        return None, LegalityResult(False, "negative coefficient", first)
+        return LegalityResult(False, "empty coefficient string", None)
     if require_positive_leading and coeffs[0] < 1:
-        return None, LegalityResult(False, "leading coefficient must be positive", 0)
+        return _failure(coeffs, "leading coefficient must be positive", 0)
 
     c = spec.coefficients
     L = len(c)
-    ends: list[int] = []
     j = 0  # position inside the current block
-    for end, a in enumerate(coeffs, 1):  # end: the offset just past a
+    digits = iter(coeffs)
+    for a in digits:
         cj = c[j]
-        if a < cj:
-            ends.append(end)  # the first strict drop closes a type-2 block
+        if a < cj:  # the first strict drop closes a type-2 block of length j + 1
+            if a < 0:  # every c_j >= 0, so only this branch meets negatives
+                return _failure(coeffs, "negative coefficient", None)
+            if lengths is not None:
+                lengths.append(j + 1)
             j = 0
         elif a == cj:
             j += 1
             if j == L:
-                return None, LegalityResult(
-                    False,
+                # the digit just read is at n - 1 - (digits still unread)
+                return _failure(
+                    coeffs,
                     "matches the full coefficient prefix with no strict drop",
-                    end - L,
+                    n - length_hint(digits) - L,
                 )
         else:
-            return None, LegalityResult(
-                False, "coefficient exceeds the recurrence coefficient", end - 1
+            return _failure(
+                coeffs,
+                "coefficient exceeds the recurrence coefficient",
+                n - 1 - length_hint(digits),
             )
-    if j:
-        ends.append(n)  # the string ends mid-prefix: a type-1 block closes it
-    return ends, None
+    if j and lengths is not None:
+        lengths.append(j)  # the string ends mid-prefix: a type-1 block closes it
+    return None
 
 
 def _illegal(failure: LegalityResult) -> IllegalDecomposition:
@@ -118,26 +137,28 @@ def _illegal(failure: LegalityResult) -> IllegalDecomposition:
     return IllegalDecomposition(f"{failure.reason}{where}")
 
 
-def _block_ends(spec: RecurrenceSpec, coeffs) -> list[int]:
-    """Block end offsets of a string that must parse (leading zeros allowed)."""
-    ends, failure = _scan(spec, coeffs, require_positive_leading=False)
+def _block_lengths(spec: RecurrenceSpec, coeffs) -> list[int]:
+    """Block lengths of a string that must parse (leading zeros allowed)."""
+    lengths: list[int] = []
+    failure = _scan(spec, coeffs, False, lengths)
     if failure is not None:
         raise _illegal(failure)
-    return ends
+    return lengths
 
 
-def _decomposition_ends(spec: RecurrenceSpec, d: Decomposition) -> list[int]:
-    """Block end offsets of a decomposition of ``spec``."""
+def _decomposition_lengths(spec: RecurrenceSpec, d: Decomposition) -> list[int]:
+    """Block lengths of a decomposition of ``spec``."""
     if d.spec != spec:
         raise SpecMismatch("decomposition belongs to a different spec")
-    return _block_ends(spec, d.coefficients)
+    return _block_lengths(spec, d.coefficients)
 
 
-def _second_to_last(ends: list[int]) -> tuple[int, int]:
-    """Start and end offsets of the second-to-last block."""
-    if len(ends) < 2:
+def _second_to_last(lengths: list[int], n: int) -> tuple[int, int]:
+    """Start and end offsets of the second-to-last block of a length-n string."""
+    if len(lengths) < 2:
         raise TooFewBlocks("need at least two blocks")
-    return (ends[-3] if len(ends) > 2 else 0), ends[-2]
+    end = n - lengths[-1]
+    return end - lengths[-2], end
 
 
 _LEGAL = LegalityResult(True)  # frozen, so every legal verdict can share it
@@ -161,7 +182,7 @@ def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
         for i, a in enumerate(coefficients):
             if not isinstance(a, int):
                 return LegalityResult(False, "non-integer coefficient", i)
-    _, failure = _scan(spec, coefficients, require_positive_leading=True)
+    failure = _scan(spec, coefficients, True)
     return failure if failure is not None else _LEGAL
 
 
@@ -185,9 +206,7 @@ class Decomposition:
         object.__setattr__(
             self, "coefficients", tuple(int(a) for a in self.coefficients)
         )
-        _, failure = _scan(
-            self.spec, self.coefficients, require_positive_leading=require_proper
-        )
+        failure = _scan(self.spec, self.coefficients, require_proper)
         if failure is not None:
             raise _illegal(failure)
 
@@ -249,24 +268,31 @@ class BlockParse:
         return "".join(str(b) for b in self.blocks)
 
 
-def _greedy(terms: tuple[int, ...], c: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The capped greedy digits of :func:`decompose`, largest first.
+def _greedy(
+    weights, c, m: int, digits: list, prefix: int = 0, j: int = 0,
+    states=None, prefixes=None,
+) -> None:
+    """The capped greedy digit loop for ``m``, appending to ``digits``.
 
-    ``terms`` is ``(H_1, ..., H_n)`` with ``H_n <= m < H_{n+1}``; the
-    caller reads it once for as many integers as share that top index.
+    ``weights`` is ``(H_n, ..., H_1)``: position i weighs ``H_{n-i}``.  The
+    loop resumes at position ``len(digits)``; the digits already there are
+    worth ``prefix`` and end in block state j.  When given, ``states`` and
+    ``prefixes`` receive the state before each new position and the value
+    of the digits before it, so that a later call can resume at any of them.
     """
-    coeffs = []
-    rem, j = m, 0
-    for w in reversed(terms):  # H_n, largest first
+    rem = m - prefix
+    for w in weights[len(digits):]:
+        if states is not None:
+            states.append(j)
+            prefixes.append(m - rem)
         a = rem // w if rem >= w else 0
         if a >= c[j]:
             a, j = c[j], j + 1
         else:
             j = 0
         rem -= a * w
-        coeffs.append(a)
+        digits.append(a)
     assert rem == 0  # the legal length-r tails cover [0, H_{r+1}) exactly
-    return tuple(coeffs)
 
 
 def decompose(table: SequenceTable, m: int) -> Decomposition:
@@ -281,10 +307,10 @@ def decompose(table: SequenceTable, m: int) -> Decomposition:
     """
     if m < 1:
         raise NonPositiveInput(f"no decomposition for {m}; need a positive integer")
-    terms = table.terms(table.extend_beyond(m))
-    return Decomposition._trusted(
-        table.spec, _greedy(terms, table.spec.coefficients, m)
-    )
+    digits: list[int] = []
+    weights = table.terms(table.extend_beyond(m))[::-1]
+    _greedy(weights, table.spec.coefficients, m, digits)
+    return Decomposition._trusted(table.spec, tuple(digits))
 
 
 def value(table: SequenceTable, d: Decomposition) -> int:
@@ -293,8 +319,7 @@ def value(table: SequenceTable, d: Decomposition) -> int:
         raise SpecMismatch(
             f"decomposition spec {d.spec} does not match table spec {table.spec}"
         )
-    coeffs = d.coefficients
-    return sum(map(mul, reversed(coeffs), table.terms(len(coeffs))))
+    return table.weigh(d.coefficients)
 
 
 def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
@@ -305,12 +330,13 @@ def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
     """
     c = spec.coefficients
     a = d.coefficients
-    ends = _decomposition_ends(spec, d)
     blocks = []
-    for start, end in zip((0, *ends), ends):
-        run = a[start:end]
-        kind = BlockKind.TYPE2 if run[-1] < c[len(run) - 1] else BlockKind.TYPE1
+    start = 0
+    for length in _decomposition_lengths(spec, d):
+        run = a[start:start + length]
+        kind = BlockKind.TYPE2 if run[-1] < c[length - 1] else BlockKind.TYPE1
         blocks.append(Block(kind, run))
+        start += length
     return BlockParse(tuple(blocks))
 
 
@@ -318,14 +344,14 @@ def second_to_last_block_size(spec: RecurrenceSpec, coefficients) -> int:
     """Size of the second-to-last block of a string that parses.
 
     Equals ``parse_blocks(...).blocks[-2].size``, summed straight from the
-    block offsets.  Leading zeros are allowed.  Raises
+    last two block lengths.  Leading zeros are allowed.  Raises
     :class:`TooFewBlocks` on single-block strings and
     :class:`IllegalDecomposition` on strings that do not parse.
     """
-    ends, failure = _scan(spec, coefficients, require_positive_leading=False)
-    if failure is not None:
-        raise _illegal(failure)
-    start, end = _second_to_last(ends)
+    if not isinstance(coefficients, (tuple, list)):
+        coefficients = tuple(coefficients)
+    lengths = _block_lengths(spec, coefficients)
+    start, end = _second_to_last(lengths, len(coefficients))
     return sum(coefficients[start:end])
 
 
@@ -341,8 +367,8 @@ def remove_second_to_last_block(
     padded (non-proper) result; with three or more blocks the leading block
     is untouched.
     """
-    start, end = _second_to_last(_decomposition_ends(spec, d))
     a = d.coefficients
+    start, end = _second_to_last(_decomposition_lengths(spec, d), len(a))
     return (
         Decomposition(spec, a[:start] + a[end:], require_proper=False),
         sum(a[start:end]),
@@ -361,8 +387,7 @@ def insert_block_before_last(
     """
     if not 0 <= t < spec.size:
         raise SizeOutOfRange(f"block size {t} outside [0, {spec.size - 1}]")
-    ends = _decomposition_ends(spec, d)
-    last = ends[-2] if len(ends) > 1 else 0
     a = d.coefficients
+    last = len(a) - _decomposition_lengths(spec, d)[-1]  # where the last block starts
     block = block_catalog(spec).type2_by_size[t].coefficients
     return Decomposition(spec, a[:last] + block + a[last:], require_proper=False)

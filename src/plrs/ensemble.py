@@ -6,12 +6,15 @@ strings of length n with a positive leading coefficient, and there are
 ``H_{n+1} - H_n`` of them.  This module describes that space three ways:
 
 * :func:`enumerate_omega` walks the block grammar directly;
-* :func:`enumerate_by_integer_walk` greedily decomposes every integer in
-  the interval (the independent oracle, kept forever in the test suite);
+* :func:`enumerate_by_integer_walk` decomposes every integer in the
+  interval, stepping from each integer's digits to the next one's by a
+  carry and the greedy digit loop (the independent oracle, kept forever in
+  the test suite);
 * :class:`SummandTable` follows the same grammar without enumerating
   anything: a recurrence over integer raw-moment sums serves the exact
   statistics of every n, and a dynamic program over tail polynomials,
-  built only when a histogram is asked for, gives the full summand-count
+  built only when a histogram is asked for and keeping only the last K of
+  them (K the longest block length), gives the full summand-count
   distribution.
 
 Counts are exact integers, probabilities and moments exact rationals.
@@ -126,13 +129,18 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
 def enumerate_by_integer_walk(
     table: SequenceTable, n: int, cap: int | None = DEFAULT_ENUM_CAP
 ) -> Iterator[Decomposition]:
-    """Greedily decompose every integer in ``[H_n, H_{n+1})``, in order.
+    """Decompose every integer in ``[H_n, H_{n+1})``, in order.
 
     The independent oracle for :func:`enumerate_omega` and the dynamic
     program: it reads the terms and coefficients, never the block grammar.
-    Each integer goes through ``decomposition._greedy``, the capped greedy
-    digit loop that :func:`~plrs.decomposition.decompose` also runs; every
-    integer here has top index n, so the terms are read once.  Raises
+    ``H_n`` goes through ``decomposition._greedy``, the capped greedy digit
+    loop of :func:`~plrs.decomposition.decompose`, which keeps the block
+    state j and the value of the digits before each position.  Each next
+    integer is a carry step: back up from the last position over every
+    digit that already holds its state's largest value (``c_j``, or
+    ``c_L - 1`` where j + 1 = L), and resume the greedy loop for the new
+    integer at the first position that does not.  The loop's final
+    ``rem == 0`` check makes every string worth its integer.  Raises
     :class:`CapExceeded` when the interval holds more than ``cap`` integers
     (pass ``cap=None`` to disable the guard).
     """
@@ -143,9 +151,21 @@ def enumerate_by_integer_walk(
         raise CapExceeded(hi - lo, cap)
     spec, trusted = table.spec, Decomposition._trusted
     c = spec.coefficients
-    terms = table.terms(n)  # H_n <= m < H_{n+1}: every m shares the top index
-    for m in range(lo, hi):
-        yield trusted(spec, _greedy(terms, c, m))
+    top = (*c[:-1], c[-1] - 1)  # the largest digit in each block state
+    weights = table.terms(n)[::-1]  # H_n <= m < H_{n+1}: every m has n digits
+    digits: list[int] = []
+    states: list[int] = []
+    prefixes: list[int] = []
+    _greedy(weights, c, lo, digits, 0, 0, states, prefixes)
+    yield trusted(spec, tuple(digits))
+    for m in range(lo + 1, hi):
+        i = n - 1
+        while digits[i] == top[states[i]]:
+            i -= 1
+        prefix, j = prefixes[i], states[i]
+        del digits[i:], states[i:], prefixes[i:]
+        _greedy(weights, c, m, digits, prefix, j, states, prefixes)
+        yield trusted(spec, tuple(digits))
 
 
 @dataclass(frozen=True)
@@ -287,8 +307,10 @@ class SummandTable:
     ``P_n``'s sums follow the same way with t >= 1, and :meth:`stats`
     turns them into exact moments.  Each row holds O(n)-bit integers, so
     statistics up to n cost O(n^2) bits.  The tail polynomials themselves
-    (O(n^3) bits) are built only when :meth:`polynomial` asks for a
-    histogram.
+    are built only when :meth:`polynomial` asks for a histogram, and only
+    the last K of them are kept, K the longest block length, because
+    ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-K}``.  That is O(n^2) bits too;
+    a request below the kept ones builds them again from ``Q_0``.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -300,7 +322,10 @@ class SummandTable:
         self._tail_weights = _moment_weights(self._tail_powers)
         self._first_weights = _moment_weights(_size_powers(lengths, 1))
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
+        # Q_r for the last K tail lengths r up to self._top, oldest first
         self._tails: list[list[int]] = []
+        self._keep = max(lengths)
+        self._top = -1
         self._stats: dict[int, EnsembleStats] = {}
 
     def _sums(self, weights, r: int) -> tuple[int, ...]:
@@ -325,25 +350,34 @@ class SummandTable:
             rows.append(self._sums(self._tail_weights, len(rows)))
 
     def _histogram(self, r: int, first: int) -> list[int]:
-        """Histogram of length-r strings with a first block of size >= first."""
+        """Histogram of length-r strings with a first block of size >= first;
+        the kept tails must end at ``Q_{r-1}``."""
         lengths = self.catalog.length_table
+        tails = self._tails
         acc: list[int] = []
         for t in range(first, self.spec.size):
             ell = lengths[t]
             if ell > r:
                 break  # lengths are non-decreasing in t
-            _shift_add(acc, self._tails[r - ell], t)
+            _shift_add(acc, tails[-ell], t)
         if r < self.spec.length:
             _shift_add(acc, (1,), self._prefix_sums[r])
         return acc
 
     def _extend_tails(self, n: int) -> None:
-        """Ensure tail polynomials up to length ``n`` exist."""
+        """Make the kept tail polynomials end at ``Q_n``."""
         tails = self._tails
-        if not tails:
+        if self._top > n:
+            tails.clear()  # Q_n fell out of the kept tails: start again
+            self._top = -1
+        if self._top < 0:
             tails.append([1])
-        while len(tails) <= n:
-            tails.append(self._histogram(len(tails), 0))
+            self._top = 0
+        while self._top < n:
+            self._top += 1
+            tails.append(self._histogram(self._top, 0))
+            if len(tails) > self._keep:
+                del tails[0]
 
     def polynomial(self, n: int) -> SummandPolynomial:
         """The exact summand-count histogram of index ``n``."""

@@ -27,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from operator import mul
 
 from .errors import (
     DegenerateRecurrence,
@@ -146,6 +147,14 @@ class SequenceTable:
         if len(self._terms) < n:
             self.extend(n)
         return tuple(self._terms[:n])
+
+    def weigh(self, digits) -> int:
+        """``digits[0] H_m + ... + digits[m-1] H_1`` for ``m = len(digits)``,
+        read from the cache without copying it."""
+        m = len(digits)
+        if len(self._terms) < m:
+            self.extend(m)
+        return sum(map(mul, reversed(digits), self._terms))
 
     def extend_beyond(self, value: int) -> int:
         """Grow the table until ``H_{n+1} > value``; return that n.

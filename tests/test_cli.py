@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from plrs.cli import RunConfig, main
+from plrs.cli import MAX_PRECISION_BITS, RunConfig, main
 
 
 def run(capsys, *argv):
@@ -326,6 +326,34 @@ def test_config_type_errors_exit_2(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize(
+    "bits", [0, -3, MAX_PRECISION_BITS + 1, 10**20], ids=["zero", "negative", "ceiling+1", "1e20"]
+)
+def test_precision_bits_out_of_range_exits_2(tmp_path, capsys, route, bits):
+    # refused where flag and config key merge, before anything is computed
+    argv = ["--coeffs", "1,1", "verify", "--n-max", "40"]
+    if route == "flag":
+        argv = ["--precision-bits", str(bits), *argv]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"precision_bits": bits}))
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "plrs: error: --precision-bits (config key precision_bits) must be an integer "
+        f"in [1, {MAX_PRECISION_BITS}], got {bits}\n"
+    )
+
+
+def test_precision_bits_ceiling_is_accepted(capsys):
+    code, _, err = run(
+        capsys, "--coeffs", "1,1", "--precision-bits", str(MAX_PRECISION_BITS), "seq", "3"
+    )
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
 def test_gauss_empty_n_list_exits_2(tmp_path, capsys, route):
     # an empty list is an error, like ','; only a missing list means the default
     if route == "flag":
@@ -418,7 +446,7 @@ def test_help_exits_zero(capsys):
 # sha256 prefixes of the --help text at 80 columns, top level under "", as
 # argparse of Python 3.11 lays it out.
 HELP_DIGESTS = {
-    "": "7a1ae1ddb469dac8",
+    "": "6b0299e6abd97850",  # --precision-bits names its ceiling
     "seq": "619aa18c2e239a5e",
     "blocks": "fda33829c0c287eb",
     "decompose": "95cb6d311a021299",

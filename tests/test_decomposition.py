@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,7 +23,7 @@ from plrs import (
     value,
 )
 
-from plrs.decomposition import LegalityResult, _scan
+from plrs.decomposition import LegalityResult
 
 from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
@@ -159,14 +159,36 @@ def _uniform_case(draw):
 @example(((1, 1), [0, 1]))  # leading zero
 @example(((2, 2, 0, 2), [1, 2, 2]))  # closed by a type-1 block
 def test_scan_matches_nested_loop_reference(case):
+    # The scanner through its public readers.  With a positive leading
+    # coefficient required, is_legal gives the reference's reason and
+    # position.  With leading zeros allowed, parse_blocks gives its block
+    # ends, and second_to_last_block_size the size of the block before the
+    # last one, or the reference's failure as its error.
     coeffs, a = case
     spec = validate_spec(coeffs)
-    for leading in (True, False):
-        ends, failure = _scan(spec, a, leading)
-        got = (ends, None, None) if failure is None else (
-            None, failure.reason, failure.position
-        )
-        assert got == _reference_scan(coeffs, a, leading), leading
+    ends, reason, position = _reference_scan(coeffs, a, True)
+    verdict = is_legal(spec, a)
+    assert (verdict.ok, verdict.reason, verdict.position) == (ends is not None, reason, position)
+
+    ends, reason, position = _reference_scan(coeffs, a, False)
+    if ends is None:
+        where = f" (position {position})" if position is not None else ""
+        for reader in (
+            lambda: Decomposition(spec, a, require_proper=False),
+            lambda: second_to_last_block_size(spec, a),
+        ):
+            with pytest.raises(IllegalDecomposition) as raised:
+                reader()
+            assert str(raised.value) == f"{reason}{where}"
+        return
+    blocks = parse_blocks(spec, Decomposition(spec, a, require_proper=False)).blocks
+    assert list(accumulate(b.length for b in blocks)) == ends
+    if len(ends) < 2:
+        with pytest.raises(TooFewBlocks):
+            second_to_last_block_size(spec, a)
+    else:
+        start = ends[-3] if len(ends) > 2 else 0
+        assert second_to_last_block_size(spec, a) == sum(a[start:ends[-2]])
 
 
 def test_is_legal_goldens(fib, h2202):

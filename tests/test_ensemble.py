@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -108,6 +109,30 @@ def test_deep_strings_enumerate_without_recursion():
     table = SequenceTable(spec)
     count = sum(1 for _ in enumerate_omega(spec, 2010))
     assert count == table.term(2011) - table.term(2010) == 1066
+
+
+def test_integer_walk_carries_deep_strings_in_linear_time():
+    # 1, then 998 zeros, then 1, at n = 2010: zeros in block states 1..999
+    # hold their state's largest value, so a carry backs up over about 500
+    # positions on average.  The walk must give decompose's string for
+    # every integer, the interval's ends included, and beat decomposing
+    # them one by one, which costs n digits each.  A back-up that re-sums
+    # capacities per step (quadratic), or a precomputed n x L capacity
+    # table, takes longer than that.
+    spec = validate_spec((1,) + (0,) * 998 + (1,))
+    table = SequenceTable(spec)
+    lo, hi = table.term(2010), table.term(2011)
+    t0 = time.perf_counter()
+    expected = [decompose(table, m).coefficients for m in range(lo, hi)]
+    greedy_s = time.perf_counter() - t0
+    walk_s = math.inf
+    for _ in range(2):
+        t0 = time.perf_counter()
+        walk = [d.coefficients for d in enumerate_by_integer_walk(table, 2010)]
+        walk_s = min(walk_s, time.perf_counter() - t0)
+    assert walk == expected
+    assert len(walk) == 1066
+    assert walk_s < greedy_s, (walk_s, greedy_s)
 
 
 def test_cardinality_four_ways(fixture_spec):
@@ -238,6 +263,32 @@ def test_stats_memory_stays_small_at_large_n(h2202):
     table = SequenceTable(h2202)
     assert s.cardinality == table.term(4001) - table.term(4000)
     assert s.variance > 0
+
+
+def test_polynomial_any_order_matches_a_fresh_table(fixture_spec):
+    # Only the last K tail polynomials are kept; ascending, repeated and
+    # descending requests on one table must still match a fresh table.
+    engine = SummandTable(fixture_spec)
+    for n in (1, 2, 3, 9, 9, 30, 31, 29, 12, 3, 1, 30):
+        assert engine.polynomial(n) == SummandTable(fixture_spec).polynomial(n), n
+        assert len(engine._tails) <= max(engine.catalog.length_table)
+
+
+@pytest.mark.parametrize("coeffs", [(3, 0, 1), (2, 2, 0, 2)], ids=["3,0,1", "2,2,0,2"])
+def test_polynomial_memory_is_quadratic(coeffs):
+    # Keeping every tail polynomial (O(n^3) bits) held 26-37 MB at n = 600
+    # and 9-12 MB at n = 400 for these specs; the last K need a fraction.
+    spec = validate_spec(coeffs)
+    engine = SummandTable(spec)
+    tracemalloc.start()
+    try:
+        total = engine.polynomial(400).total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    table = SequenceTable(spec)
+    assert total == table.term(401) - table.term(400)
 
 
 def test_polynomial_coefficients_exceed_float_range():
