@@ -91,7 +91,7 @@ def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=
     :class:`LegalityResult` otherwise, its position a 0-based index into
     ``coeffs``.  ``coeffs`` is a tuple or a list.  When ``lengths`` is a
     list, the length of each block is appended to it, left to right;
-    verdict readers pass nothing and pay nothing per block.
+    verdict readers pass none and collect nothing.
     """
     n = len(coeffs)
     if n == 0:

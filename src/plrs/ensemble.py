@@ -13,9 +13,8 @@ strings of length n with a positive leading coefficient, and there are
 * :class:`SummandTable` follows the same grammar without enumerating
   anything: a recurrence over integer raw-moment sums serves the exact
   statistics of every n, and a dynamic program over tail polynomials,
-  built only when a histogram is asked for and keeping only the last K of
-  them (K the longest block length), gives the full summand-count
-  distribution.
+  built only when a histogram is asked for and keeping only the last L of
+  them, gives the full summand-count distribution.
 
 Counts are exact integers, probabilities and moments exact rationals.
 """
@@ -308,9 +307,9 @@ class SummandTable:
     turns them into exact moments.  Each row holds O(n)-bit integers, so
     statistics up to n cost O(n^2) bits.  The tail polynomials themselves
     are built only when :meth:`polynomial` asks for a histogram, and only
-    the last K of them are kept, K the longest block length, because
-    ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-K}``.  That is O(n^2) bits too;
-    a request below the kept ones builds them again from ``Q_0``.
+    the last L of them are kept: no block is longer than L, so ``Q_r``
+    reads only ``Q_{r-1}, ..., Q_{r-L}``.  That is O(n^2) bits too; a
+    request below the kept ones builds them again from ``Q_0``.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -322,9 +321,8 @@ class SummandTable:
         self._tail_weights = _moment_weights(self._tail_powers)
         self._first_weights = _moment_weights(_size_powers(lengths, 1))
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
-        # Q_r for the last K tail lengths r up to self._top, oldest first
+        # Q_r for the last L tail lengths r up to self._top, oldest first
         self._tails: list[list[int]] = []
-        self._keep = max(lengths)
         self._top = -1
         self._stats: dict[int, EnsembleStats] = {}
 
@@ -376,7 +374,7 @@ class SummandTable:
         while self._top < n:
             self._top += 1
             tails.append(self._histogram(self._top, 0))
-            if len(tails) > self._keep:
+            if len(tails) > self.spec.length:
                 del tails[0]
 
     def polynomial(self, n: int) -> SummandPolynomial:

@@ -266,18 +266,18 @@ def test_stats_memory_stays_small_at_large_n(h2202):
 
 
 def test_polynomial_any_order_matches_a_fresh_table(fixture_spec):
-    # Only the last K tail polynomials are kept; ascending, repeated and
+    # Only the last L tail polynomials are kept; ascending, repeated and
     # descending requests on one table must still match a fresh table.
     engine = SummandTable(fixture_spec)
     for n in (1, 2, 3, 9, 9, 30, 31, 29, 12, 3, 1, 30):
         assert engine.polynomial(n) == SummandTable(fixture_spec).polynomial(n), n
-        assert len(engine._tails) <= max(engine.catalog.length_table)
+        assert len(engine._tails) <= fixture_spec.length
 
 
 @pytest.mark.parametrize("coeffs", [(3, 0, 1), (2, 2, 0, 2)], ids=["3,0,1", "2,2,0,2"])
 def test_polynomial_memory_is_quadratic(coeffs):
     # Keeping every tail polynomial (O(n^3) bits) held 26-37 MB at n = 600
-    # and 9-12 MB at n = 400 for these specs; the last K need a fraction.
+    # and 9-12 MB at n = 400 for these specs; the last L need a fraction.
     spec = validate_spec(coeffs)
     engine = SummandTable(spec)
     tracemalloc.start()
