@@ -16,164 +16,22 @@ Quick start::
     >>> table = sequence_terms(spec, 10)
     >>> str(decompose(table, 12))
     '1 0 1 0 1'
+
+The public surface is each submodule's ``__all__``, re-exported here.
 """
 
-from .errors import (
-    BoundViolated,
-    CapExceeded,
-    DegenerateRecurrence,
-    DegenerateVariance,
-    EmptyCoefficients,
-    EmptyConditionalEvent,
-    EmptyDistribution,
-    IllegalDecomposition,
-    IndexTooSmall,
-    LeadingCoefficientZero,
-    MissingFValue,
-    NegativeCoefficient,
-    NonPositiveC,
-    NonPositiveInput,
-    NoThresholdInRange,
-    PlrsError,
-    SizeOutOfRange,
-    SpecMismatch,
-    TooFewBlocks,
-    TrailingCoefficientZero,
-    WindowTooSmall,
-)
-from .rationals import decimal_str, format_fraction, parse_fraction, round_to_bits
-from .recurrence import (
-    Block,
-    BlockCatalog,
-    BlockKind,
-    RecurrenceSpec,
-    SequenceTable,
-    block_catalog,
-    sequence_terms,
-    validate_spec,
-)
-from .decomposition import (
-    BlockParse,
-    Decomposition,
-    LegalityResult,
-    decompose,
-    insert_block_before_last,
-    is_legal,
-    parse_blocks,
-    remove_second_to_last_block,
-    second_to_last_block_size,
-    value,
-)
-from .ensemble import (
-    DEFAULT_ENUM_CAP,
-    EnsembleStats,
-    SummandPolynomial,
-    SummandTable,
-    ZDistribution,
-    conditional_mean_check,
-    conditional_tally,
-    enumerate_by_integer_walk,
-    enumerate_omega,
-    sample_uniform,
-    stats_from_polynomial,
-    z_distribution,
-)
-from .theorem import (
-    DEFAULT_PRECISION_BITS,
-    ConstantChoice,
-    GaussianRow,
-    GrowthEstimate,
-    PerIndexVerdict,
-    TheoremReport,
-    compute_c,
-    estimate_growth,
-    find_threshold_N,
-    first_moment_identity,
-    gaussian_diagnostics,
-    gaussian_trend_ok,
-    second_moment_identity,
-    verify_variance_bound,
-    y_statistics,
-)
+from . import decomposition, ensemble, errors, rationals, recurrence, theorem
+from .errors import *  # noqa: F401,F403
+from .rationals import *  # noqa: F401,F403
+from .recurrence import *  # noqa: F401,F403
+from .decomposition import *  # noqa: F401,F403
+from .ensemble import *  # noqa: F401,F403
+from .theorem import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # recurrence
-    "RecurrenceSpec",
-    "SequenceTable",
-    "Block",
-    "BlockKind",
-    "BlockCatalog",
-    "validate_spec",
-    "sequence_terms",
-    "block_catalog",
-    # decomposition
-    "Decomposition",
-    "BlockParse",
-    "LegalityResult",
-    "decompose",
-    "value",
-    "is_legal",
-    "parse_blocks",
-    "second_to_last_block_size",
-    "remove_second_to_last_block",
-    "insert_block_before_last",
-    # ensemble
-    "DEFAULT_ENUM_CAP",
-    "SummandPolynomial",
-    "EnsembleStats",
-    "ZDistribution",
-    "SummandTable",
-    "enumerate_omega",
-    "enumerate_by_integer_walk",
-    "stats_from_polynomial",
-    "z_distribution",
-    "conditional_tally",
-    "conditional_mean_check",
-    "sample_uniform",
-    # theorem
-    "DEFAULT_PRECISION_BITS",
-    "GrowthEstimate",
-    "ConstantChoice",
-    "PerIndexVerdict",
-    "GaussianRow",
-    "TheoremReport",
-    "estimate_growth",
-    "y_statistics",
-    "find_threshold_N",
-    "compute_c",
-    "verify_variance_bound",
-    "gaussian_diagnostics",
-    "gaussian_trend_ok",
-    "first_moment_identity",
-    "second_moment_identity",
-    # rationals
-    "format_fraction",
-    "parse_fraction",
-    "decimal_str",
-    "round_to_bits",
-    # errors
-    "PlrsError",
-    "EmptyCoefficients",
-    "LeadingCoefficientZero",
-    "TrailingCoefficientZero",
-    "NegativeCoefficient",
-    "DegenerateRecurrence",
-    "SizeOutOfRange",
-    "NonPositiveInput",
-    "SpecMismatch",
-    "IllegalDecomposition",
-    "TooFewBlocks",
-    "CapExceeded",
-    "EmptyDistribution",
-    "IndexTooSmall",
-    "EmptyConditionalEvent",
-    "WindowTooSmall",
-    "MissingFValue",
-    "NoThresholdInRange",
-    "NonPositiveC",
-    "BoundViolated",
-    "DegenerateVariance",
+__all__ = ["__version__"] + [
+    name
+    for module in (recurrence, decomposition, ensemble, theorem, rationals, errors)
+    for name in module.__all__
 ]

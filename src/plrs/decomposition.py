@@ -46,6 +46,7 @@ from .recurrence import (
     BlockKind,
     RecurrenceSpec,
     SequenceTable,
+    _first_non_integer,
     block_catalog,
 )
 
@@ -131,6 +132,16 @@ def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=
     return None
 
 
+def _check(spec: RecurrenceSpec, coeffs, require_positive_leading: bool):
+    """The verdict of :func:`is_legal` and :class:`Decomposition`: the
+    integer-entry rule, then :func:`_scan`.  Returns None when the string
+    is legal and the failing :class:`LegalityResult` otherwise."""
+    i = _first_non_integer(coeffs)
+    if i is not None:
+        return LegalityResult(False, "non-integer coefficient", i)
+    return _scan(spec, coeffs, require_positive_leading)
+
+
 def _illegal(failure: LegalityResult) -> IllegalDecomposition:
     """The error for a failed scan: its reason and, if known, position."""
     where = f" (position {failure.position})" if failure.position is not None else ""
@@ -171,18 +182,11 @@ def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
     parse into blocks.  Malformed input (negative entries and the like) is
     reported as illegal with a reason, never raised; an entry that is not an
     ``int`` (a ``bool`` counts as one) reads "non-integer coefficient".
+    :class:`Decomposition` applies the same verdict and raises it.
     """
     if not isinstance(coefficients, (tuple, list)):
         coefficients = list(coefficients)
-    try:
-        ints = type(sum(coefficients)) is int  # one C-level pass when all are ints
-    except TypeError:
-        ints = False
-    if not ints:
-        for i, a in enumerate(coefficients):
-            if not isinstance(a, int):
-                return LegalityResult(False, "non-integer coefficient", i)
-    failure = _scan(spec, coefficients, True)
+    failure = _check(spec, coefficients, True)
     return failure if failure is not None else _LEGAL
 
 
@@ -191,11 +195,15 @@ class Decomposition:
     """An immutable, validated coefficient string for a given spec.
 
     ``coefficients[0]`` multiplies the largest term ``H_m``.  Construction
-    validates the block grammar and raises :class:`IllegalDecomposition`
-    otherwise.  Decompositions of positive integers always start with a
-    positive coefficient; block insertion in front of a single-block string
-    can produce a *padded* string with a leading size-0 block, in which case
-    ``is_proper`` is False.  Pass ``require_proper=False`` to build one.
+    applies :func:`is_legal`'s verdict and raises it as
+    :class:`IllegalDecomposition` with the same reason and position: every
+    entry must be an ``int`` (nothing is converted; a ``bool`` counts as
+    one and is stored as an ``int``), and the string must parse into
+    blocks.  Any iterable is stored as a tuple.  Decompositions of positive
+    integers always start with a positive coefficient; block insertion in
+    front of a single-block string can produce a *padded* string with a
+    leading size-0 block, in which case ``is_proper`` is False.  Pass
+    ``require_proper=False`` to build one.
     """
 
     spec: RecurrenceSpec
@@ -203,12 +211,13 @@ class Decomposition:
     require_proper: InitVar[bool] = True
 
     def __post_init__(self, require_proper: bool):
-        object.__setattr__(
-            self, "coefficients", tuple(int(a) for a in self.coefficients)
-        )
-        failure = _scan(self.spec, self.coefficients, require_proper)
+        coeffs = self.coefficients
+        if not isinstance(coeffs, (tuple, list)):
+            coeffs = tuple(coeffs)
+        failure = _check(self.spec, coeffs, require_proper)
         if failure is not None:
             raise _illegal(failure)
+        object.__setattr__(self, "coefficients", tuple(map(int, coeffs)))
 
     @classmethod
     def _trusted(cls, spec: RecurrenceSpec, coefficients: tuple[int, ...]):

@@ -88,7 +88,6 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
     catalog = block_catalog(spec)
     lengths = catalog.length_table
     L = spec.length
-    prefix_sums = [sum(spec.coefficients[:m]) for m in range(L)]
 
     def choices(remaining: int, first: bool) -> list[tuple[tuple[int, ...], int]]:
         """The (block, size) pairs that can start a rest of this length, in
@@ -99,8 +98,8 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
                 break  # lengths are non-decreasing in t
             out.append((t, 2, catalog.type2_by_size[t].coefficients))
         if 1 <= remaining < L:
-            block = catalog.type1_blocks[remaining - 1].coefficients
-            out.append((prefix_sums[remaining], 1, block))
+            block = catalog.type1_blocks[remaining - 1]
+            out.append((block.size, 1, block.coefficients))
         out.sort()
         return [(block, t) for t, _, block in out]
 
@@ -315,7 +314,6 @@ class SummandTable:
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
         self.catalog = block_catalog(spec)
-        self._prefix_sums = [sum(spec.coefficients[:m]) for m in range(spec.length)]
         lengths = self.catalog.length_table
         self._tail_powers = _size_powers(lengths, 0)
         self._tail_weights = _moment_weights(self._tail_powers)
@@ -337,7 +335,7 @@ class SummandTable:
             for j, i, w in terms:
                 acc[j] += w * row[i]
         if r < self.spec.length:
-            size = self._prefix_sums[r]
+            size = self.catalog.type1_blocks[r - 1].size
             acc = [a + size**j for j, a in enumerate(acc)]
         return tuple(acc)
 
@@ -359,7 +357,7 @@ class SummandTable:
                 break  # lengths are non-decreasing in t
             _shift_add(acc, tails[-ell], t)
         if r < self.spec.length:
-            _shift_add(acc, (1,), self._prefix_sums[r])
+            _shift_add(acc, (1,), self.catalog.type1_blocks[r - 1].size)
         return acc
 
     def _extend_tails(self, n: int) -> None:
@@ -534,24 +532,22 @@ def conditional_mean_check(
     n: int,
     t: int,
     *,
+    tally: tuple[tuple[int, int, int], ...],
     moment: int = 1,
-    cap: int = DEFAULT_ENUM_CAP,
-    tally: tuple[tuple[int, int, int], ...] | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Conditional moment of the summand count, two independent ways.
 
-    Left side: enumerate the space at index n of ``engine.spec``, keep the
-    outcomes whose second-to-last block has size ``t``, and average
-    ``K^moment`` over them.  Right side, from the table's moment rows at
-    the shorter index ``r = n - length(t)`` (removing the block drops the
+    Left side: from ``tally``, the :func:`conditional_tally` of index n of
+    ``engine.spec`` (one enumeration of the space serves every size and
+    moment), average ``K^moment`` over the outcomes whose second-to-last
+    block has size ``t``.  Right side, from the table's moment rows at the
+    shorter index ``r = n - length(t)`` (removing the block drops the
     count by t):
 
         moment 1:  E[K_r] + t
         moment 2:  E[K_r^2] + 2 t E[K_r] + t^2
 
-    Both sides are exact rationals and must be equal.  Pass the
-    :func:`conditional_tally` of index n as ``tally`` to check every size
-    and moment from one enumeration.
+    Both sides are exact rationals and must be equal.
     """
     spec = engine.spec
     _require_three_blocks(spec, n)
@@ -559,8 +555,6 @@ def conditional_mean_check(
         raise SizeOutOfRange(f"block size {t} outside [0, {spec.size - 1}]")
     if moment not in (1, 2):
         raise ValueError("moment must be 1 or 2")
-    if tally is None:
-        tally = conditional_tally(spec, n, cap=cap)
     count = tally[t][0]
     if count == 0:
         raise EmptyConditionalEvent(f"no outcome at n={n} has block size {t}")

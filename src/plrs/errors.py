@@ -6,6 +6,31 @@ out-of-range errors as ``IndexError`` where that matches how built-in code
 would fail.
 """
 
+__all__ = [
+    "PlrsError",
+    "EmptyCoefficients",
+    "LeadingCoefficientZero",
+    "TrailingCoefficientZero",
+    "NonIntegerCoefficient",
+    "NegativeCoefficient",
+    "DegenerateRecurrence",
+    "SizeOutOfRange",
+    "NonPositiveInput",
+    "SpecMismatch",
+    "IllegalDecomposition",
+    "TooFewBlocks",
+    "CapExceeded",
+    "EmptyDistribution",
+    "IndexTooSmall",
+    "EmptyConditionalEvent",
+    "WindowTooSmall",
+    "MissingFValue",
+    "NoThresholdInRange",
+    "NonPositiveC",
+    "BoundViolated",
+    "DegenerateVariance",
+]
+
 
 class PlrsError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,6 +48,10 @@ class LeadingCoefficientZero(PlrsError, ValueError):
 
 class TrailingCoefficientZero(PlrsError, ValueError):
     """The last recurrence coefficient must be positive."""
+
+
+class NonIntegerCoefficient(PlrsError, ValueError):
+    """Recurrence coefficients must be ints (a ``bool`` counts as one)."""
 
 
 class NegativeCoefficient(PlrsError, ValueError):

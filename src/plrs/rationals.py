@@ -9,6 +9,8 @@ significant digits using integer arithmetic only.
 
 from fractions import Fraction
 
+__all__ = ["format_fraction", "parse_fraction", "decimal_str", "round_to_bits"]
+
 
 def format_fraction(x: Fraction) -> str:
     """Render ``x`` as ``"p/q"`` (``"p"`` when q == 1), exact."""

@@ -34,6 +34,7 @@ from .errors import (
     EmptyCoefficients,
     LeadingCoefficientZero,
     NegativeCoefficient,
+    NonIntegerCoefficient,
     SizeOutOfRange,
     TrailingCoefficientZero,
 )
@@ -83,15 +84,40 @@ class RecurrenceSpec:
         return validate_spec(coeffs)
 
 
+def _first_non_integer(entries) -> int | None:
+    """Index of the first entry that is not an ``int``, or None.
+
+    The integer-entry rule shared by :func:`validate_spec` and the legality
+    checks of :mod:`plrs.decomposition`: a ``bool`` counts as an int, and
+    nothing (a float, a numeric string) is converted.  ``entries`` is a
+    tuple or a list.
+    """
+    try:
+        if type(sum(entries)) is int:  # one C-level pass when all are ints
+            return None
+    except TypeError:
+        pass
+    return next((i for i, a in enumerate(entries) if not isinstance(a, int)), None)
+
+
 def validate_spec(coefficients) -> RecurrenceSpec:
     """Validate a coefficient list and return the spec.
 
-    Raises :class:`EmptyCoefficients`, :class:`LeadingCoefficientZero`,
-    :class:`TrailingCoefficientZero` or :class:`NegativeCoefficient` on bad
-    input, and :class:`DegenerateRecurrence` for ``(1,)``, whose sequence
-    would be constant.
+    Every entry must be an ``int``; a ``bool`` counts as one and is stored
+    as one, and nothing else is converted.  Raises
+    :class:`NonIntegerCoefficient`, :class:`EmptyCoefficients`,
+    :class:`LeadingCoefficientZero`, :class:`TrailingCoefficientZero` or
+    :class:`NegativeCoefficient` on bad input, and
+    :class:`DegenerateRecurrence` for ``(1,)``, whose sequence would be
+    constant.
     """
-    coeffs = tuple(int(c) for c in coefficients)
+    coeffs = tuple(coefficients)
+    i = _first_non_integer(coeffs)
+    if i is not None:
+        raise NonIntegerCoefficient(
+            f"coefficient c_{i + 1} = {coeffs[i]!r} is not an integer"
+        )
+    coeffs = tuple(map(int, coeffs))
     if not coeffs:
         raise EmptyCoefficients("need at least one coefficient")
     for i, c in enumerate(coeffs):
@@ -120,9 +146,6 @@ class SequenceTable:
         self._terms: list[int] = [1]
         self.extend(n)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def extend(self, n: int) -> None:
         """Ensure terms up to ``H_n`` are cached."""
         c = self.spec.coefficients
@@ -143,7 +166,9 @@ class SequenceTable:
         return self._terms[i - 1]
 
     def terms(self, n: int) -> tuple[int, ...]:
-        """Return ``(H_1, ..., H_n)``."""
+        """Return ``(H_1, ..., H_n)``; ``()`` for n = 0."""
+        if n < 0:
+            raise IndexError(f"term count {n} is negative")
         if len(self._terms) < n:
             self.extend(n)
         return tuple(self._terms[:n])

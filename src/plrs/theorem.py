@@ -219,26 +219,22 @@ def y_statistics(
     return growth.f(n), Fraction(num, Tn * Tn * P)
 
 
-def _y_variance_sweep(
+def _threshold(
     engine: SummandTable, growth: GrowthEstimate, n_max: int
-) -> dict[int, Fraction]:
-    return {
-        n: y_statistics(engine, n, growth)[1]
-        for n in range(2 * engine.spec.length + 1, n_max + 1)
+) -> tuple[dict[int, Fraction], Fraction, int]:
+    """The Y sweep over ``2L < n <= n_max``, the bound a^2/(2S) and N."""
+    _require_same_spec(engine, growth)
+    L = engine.spec.length
+    bound = growth.a_est**2 / (2 * engine.spec.size)
+    variances = {
+        n: y_statistics(engine, n, growth)[1] for n in range(2 * L + 1, n_max + 1)
     }
-
-
-def _pick_threshold(
-    variances: dict[int, Fraction], bound: Fraction, n_max: int, L: int
-) -> int:
     failures = [n for n, v in variances.items() if v <= bound]
-    if not failures:
-        return 2 * L + 1
-    if failures[-1] == n_max:
+    if failures and failures[-1] == n_max:
         raise NoThresholdInRange(
             f"Var[Y] <= a^2/(2S) still at n_max={n_max}; nothing verified beyond it"
         )
-    return failures[-1]
+    return variances, bound, failures[-1] if failures else 2 * L + 1
 
 
 def find_threshold_N(engine: SummandTable, growth: GrowthEstimate, n_max: int) -> int:
@@ -248,10 +244,7 @@ def find_threshold_N(engine: SummandTable, growth: GrowthEstimate, n_max: int) -
     Raises :class:`NoThresholdInRange` when the bound fails at ``n_max``
     itself, since then no threshold inside the window has a verified tail.
     """
-    _require_same_spec(engine, growth)
-    bound = growth.a_est**2 / (2 * engine.spec.size)
-    variances = _y_variance_sweep(engine, growth, n_max)
-    return _pick_threshold(variances, bound, n_max, engine.spec.length)
+    return _threshold(engine, growth, n_max)[2]
 
 
 @dataclass(frozen=True)
@@ -504,9 +497,7 @@ def verify_variance_bound(
     L = spec.length
     S = spec.size
     growth = estimate_growth(engine, n_max, precision_bits=precision_bits)
-    var_y = _y_variance_sweep(engine, growth, n_max)
-    bound = growth.a_est**2 / (2 * S)
-    N = _pick_threshold(var_y, bound, n_max, L)
+    var_y, bound, N = _threshold(engine, growth, n_max)
     if n_max < N + 10:
         raise WindowTooSmall(
             f"n_max={n_max} leaves no room beyond the threshold N={N}; need N+10"

@@ -211,18 +211,29 @@ def test_is_legal_goldens(fib, h2202):
         ([1.0, 0], 0),
         ([1, 0, 1.0], 2),
         ([-1, "x"], 1),
-        ((a for a in [1, 0, None]), 2),
+        (lambda: (a for a in [1, 0, None]), 2),  # a fresh generator per read
     ],
     ids=["str", "none", "float-above", "float-equal", "float-last", "after-negative",
          "generator"],
 )
 def test_is_legal_reports_non_integer_entries(fib, coeffs, position):
-    assert is_legal(fib, coeffs) == LegalityResult(False, "non-integer coefficient", position)
+    fresh = coeffs if callable(coeffs) else lambda: coeffs
+    assert is_legal(fib, fresh()) == LegalityResult(
+        False, "non-integer coefficient", position
+    )
+    # the constructor applies the same rule, and converts nothing
+    with pytest.raises(
+        IllegalDecomposition, match=rf"^non-integer coefficient \(position {position}\)$"
+    ):
+        Decomposition(fib, fresh())
 
 
 def test_is_legal_takes_bools_as_ints(fib):
     assert is_legal(fib, [True, False, True])
     assert is_legal(fib, [True, True]) == is_legal(fib, [1, 1])
+    for entries in ([True, False, True], (a for a in [True, False, True])):
+        stored = Decomposition(fib, entries).coefficients
+        assert stored == (1, 0, 1) and all(type(a) is int for a in stored)
 
 
 # -- greedy decomposition ----------------------------------------------------

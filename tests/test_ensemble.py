@@ -342,9 +342,16 @@ def test_z_distribution_index_too_small(fixture_spec):
 
 def test_conditional_mean_goldens(fib):
     engine = SummandTable(fib)
-    assert conditional_mean_check(engine, 5, 0) == (Fraction(5, 3), Fraction(5, 3))
-    assert conditional_mean_check(engine, 5, 1) == (Fraction(5, 2), Fraction(5, 2))
-    assert conditional_mean_check(engine, 5, 0, moment=2) == (Fraction(3), Fraction(3))
+    tally = conditional_tally(fib, 5)
+    assert conditional_mean_check(engine, 5, 0, tally=tally) == (
+        Fraction(5, 3), Fraction(5, 3)
+    )
+    assert conditional_mean_check(engine, 5, 1, tally=tally) == (
+        Fraction(5, 2), Fraction(5, 2)
+    )
+    assert conditional_mean_check(engine, 5, 0, tally=tally, moment=2) == (
+        Fraction(3), Fraction(3)
+    )
 
 
 @pytest.mark.parametrize(
@@ -360,9 +367,10 @@ def test_conditional_moments_exact(coeffs, ns):
     spec = validate_spec(coeffs)
     engine = SummandTable(spec)
     for n in ns:
+        tally = conditional_tally(spec, n)
         for t in range(spec.size):
             for moment in (1, 2):
-                lhs, rhs = conditional_mean_check(engine, n, t, moment=moment)
+                lhs, rhs = conditional_mean_check(engine, n, t, tally=tally, moment=moment)
                 assert lhs == rhs, (coeffs, n, t, moment)
 
 
@@ -380,20 +388,20 @@ def test_conditional_tally_serves_every_check(fixture_spec):
     engine = SummandTable(spec)
     for t in range(spec.size):
         for moment in (1, 2):
-            assert conditional_mean_check(
-                engine, n, t, moment=moment, tally=tally
-            ) == conditional_mean_check(engine, n, t, moment=moment)
+            lhs, rhs = conditional_mean_check(engine, n, t, tally=tally, moment=moment)
+            assert lhs == rhs, (t, moment)
 
 
 def test_conditional_check_errors(fib):
+    engine, tally = SummandTable(fib), conditional_tally(fib, 5)
     with pytest.raises(IndexTooSmall):
-        conditional_mean_check(SummandTable(fib), 4, 0)
+        conditional_mean_check(engine, 4, 0, tally=tally)
     with pytest.raises(SizeOutOfRange):
-        conditional_mean_check(SummandTable(fib), 5, 9)
+        conditional_mean_check(engine, 5, 9, tally=tally)
     with pytest.raises(ValueError):
-        conditional_mean_check(SummandTable(fib), 5, 0, moment=3)
-    with pytest.raises(CapExceeded):
-        conditional_mean_check(SummandTable(fib), 30, 0, cap=10)
+        conditional_mean_check(engine, 5, 0, tally=tally, moment=3)
+    with pytest.raises(TypeError):  # one tally serves every check; there is no default
+        conditional_mean_check(engine, 5, 0)
     with pytest.raises(CapExceeded):
         conditional_tally(fib, 30, cap=10)
     with pytest.raises(IndexTooSmall):

@@ -6,6 +6,7 @@ from plrs import (
     EmptyCoefficients,
     LeadingCoefficientZero,
     NegativeCoefficient,
+    NonIntegerCoefficient,
     RecurrenceSpec,
     SequenceTable,
     SizeOutOfRange,
@@ -40,6 +41,23 @@ def test_validate_golden_specs():
 def test_validate_rejects(coeffs, err):
     with pytest.raises(err):
         validate_spec(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, index",
+    [([1.9, 1], 1), (["2", True], 1), ([1, 1.0], 2), ([2, None, 1], 2), ("11", 1)],
+    ids=["float", "str", "float-equal", "none", "text"],
+)
+def test_validate_rejects_non_integer_entries(coeffs, index):
+    # nothing is converted: 1.9 is not read as 1, nor '2' as 2
+    with pytest.raises(NonIntegerCoefficient, match=rf"^coefficient c_{index} = "):
+        validate_spec(coeffs)
+
+
+def test_validate_takes_bools_as_ints():
+    spec = validate_spec([True, True])
+    assert spec == validate_spec([1, 1]) and str(spec) == "1,1"
+    assert all(type(c) is int for c in spec.coefficients)
 
 
 def test_from_text():
@@ -110,6 +128,9 @@ def test_term_index_errors():
     table = SequenceTable(validate_spec((1, 1)))
     with pytest.raises(IndexError):
         table.term(0)
+    with pytest.raises(IndexError):
+        table.terms(-1)
+    assert table.terms(0) == ()
     with pytest.raises(ValueError):
         sequence_terms(validate_spec((1, 1)), 0)
 
