@@ -95,7 +95,7 @@ def _first_non_integer(entries) -> int | None:
     try:
         if type(sum(entries)) is int:  # one C-level pass when all are ints
             return None
-    except TypeError:
+    except (TypeError, ArithmeticError):  # e.g. a float after a 400-digit int
         pass
     return next((i for i, a in enumerate(entries) if not isinstance(a, int)), None)
 
@@ -104,7 +104,7 @@ def validate_spec(coefficients) -> RecurrenceSpec:
     """Validate a coefficient list and return the spec.
 
     Every entry must be an ``int``; a ``bool`` counts as one and is stored
-    as one, and nothing else is converted.  Raises
+    as an ``int``, and nothing else is converted.  Raises
     :class:`NonIntegerCoefficient`, :class:`EmptyCoefficients`,
     :class:`LeadingCoefficientZero`, :class:`TrailingCoefficientZero` or
     :class:`NegativeCoefficient` on bad input, and

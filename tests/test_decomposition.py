@@ -212,9 +212,10 @@ def test_is_legal_goldens(fib, h2202):
         ([1, 0, 1.0], 2),
         ([-1, "x"], 1),
         (lambda: (a for a in [1, 0, None]), 2),  # a fresh generator per read
+        ([10**400, 1.5], 1),  # the int-sum fast path overflows to float
     ],
     ids=["str", "none", "float-above", "float-equal", "float-last", "after-negative",
-         "generator"],
+         "generator", "float-after-huge-int"],
 )
 def test_is_legal_reports_non_integer_entries(fib, coeffs, position):
     fresh = coeffs if callable(coeffs) else lambda: coeffs

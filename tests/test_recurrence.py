@@ -45,8 +45,15 @@ def test_validate_rejects(coeffs, err):
 
 @pytest.mark.parametrize(
     "coeffs, index",
-    [([1.9, 1], 1), (["2", True], 1), ([1, 1.0], 2), ([2, None, 1], 2), ("11", 1)],
-    ids=["float", "str", "float-equal", "none", "text"],
+    [
+        ([1.9, 1], 1),
+        (["2", True], 1),
+        ([1, 1.0], 2),
+        ([2, None, 1], 2),
+        ("11", 1),
+        ([10**400, 1.5], 2),
+    ],
+    ids=["float", "str", "float-equal", "none", "text", "float-after-huge-int"],
 )
 def test_validate_rejects_non_integer_entries(coeffs, index):
     # nothing is converted: 1.9 is not read as 1, nor '2' as 2
