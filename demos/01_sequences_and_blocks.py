@@ -7,7 +7,7 @@ the first L indices, then follow the full recurrence; everything is exact
 integer arithmetic, so the terms below are correct at any size.
 """
 
-from plrs import block_catalog, sequence_terms, validate_spec
+from plrs import SequenceTable, block_catalog, validate_spec
 
 EXAMPLES = [
     ("Zeckendorf / Fibonacci", (1, 1)),
@@ -21,7 +21,7 @@ for title, coeffs in EXAMPLES:
     spec = validate_spec(coeffs)
     print("=" * 72)
     print(f"{title}: coefficients {spec} (size S={spec.size}, length L={spec.length})")
-    table = sequence_terms(spec, 12)
+    table = SequenceTable(spec, 12)
     print("  first terms:", ", ".join(str(t) for t in table.terms(12)))
 
     cat = block_catalog(spec)
@@ -35,6 +35,6 @@ for title, coeffs in EXAMPLES:
 
 print("=" * 72)
 print("A 600-digit term, computed exactly (coefficients 2,2,0,2, index 1400):")
-big = sequence_terms(validate_spec((2, 2, 0, 2)), 1400).term(1400)
+big = SequenceTable(validate_spec((2, 2, 0, 2)), 1400).term(1400)
 print(f"  H_1400 has {len(str(big))} digits")
 print(f"  leading digits: {str(big)[:60]}...")

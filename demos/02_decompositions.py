@@ -14,14 +14,13 @@ from plrs import (
     is_legal,
     parse_blocks,
     remove_second_to_last_block,
-    sequence_terms,
     validate_spec,
     value,
 )
 
 print("--- Zeckendorf decomposition of 12 over the Fibonacci terms ---")
 fib = validate_spec((1, 1))
-table = sequence_terms(fib, 10)
+table = SequenceTable(fib, 10)
 d = decompose(table, 12)
 print("terms:", table.terms(6))
 print(f"12 -> coefficients {d}  (most significant first)")

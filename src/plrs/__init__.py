@@ -11,9 +11,9 @@ summand-count variance.
 
 Quick start::
 
-    >>> from plrs import validate_spec, sequence_terms, decompose
+    >>> from plrs import SequenceTable, validate_spec, decompose
     >>> spec = validate_spec([1, 1])          # Zeckendorf / Fibonacci
-    >>> table = sequence_terms(spec, 10)
+    >>> table = SequenceTable(spec, 10)
     >>> str(decompose(table, 12))
     '1 0 1 0 1'
 

@@ -132,14 +132,14 @@ def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=
     return None
 
 
-def _check(spec: RecurrenceSpec, coeffs, require_positive_leading: bool):
-    """The verdict of :func:`is_legal` and :class:`Decomposition`: the
-    integer-entry rule, then :func:`_scan`.  Returns None when the string
-    is legal and the failing :class:`LegalityResult` otherwise."""
+def _check(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=None):
+    """The verdict every front door applies: the integer-entry rule, then
+    :func:`_scan` (which fills ``lengths`` when given).  Returns None when
+    the string parses and the failing :class:`LegalityResult` otherwise."""
     i = _first_non_integer(coeffs)
     if i is not None:
         return LegalityResult(False, "non-integer coefficient", i)
-    return _scan(spec, coeffs, require_positive_leading)
+    return _scan(spec, coeffs, require_positive_leading, lengths)
 
 
 def _illegal(failure: LegalityResult) -> IllegalDecomposition:
@@ -151,7 +151,7 @@ def _illegal(failure: LegalityResult) -> IllegalDecomposition:
 def _block_lengths(spec: RecurrenceSpec, coeffs) -> list[int]:
     """Block lengths of a string that must parse (leading zeros allowed)."""
     lengths: list[int] = []
-    failure = _scan(spec, coeffs, False, lengths)
+    failure = _check(spec, coeffs, False, lengths)
     if failure is not None:
         raise _illegal(failure)
     return lengths
@@ -248,10 +248,6 @@ class Decomposition:
         """Space-separated coefficients, most significant first."""
         return " ".join(str(a) for a in self.coefficients)
 
-    @classmethod
-    def from_text(cls, spec: RecurrenceSpec, text: str) -> "Decomposition":
-        return cls(spec, tuple(int(part) for part in text.split()))
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -268,10 +264,6 @@ class BlockParse:
         for b in self.blocks:
             out.extend(b.coefficients)
         return tuple(out)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.blocks)

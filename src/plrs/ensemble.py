@@ -11,10 +11,13 @@ strings of length n with a positive leading coefficient, and there are
   carry and the greedy digit loop (the independent oracle, kept forever in
   the test suite);
 * :class:`SummandTable` follows the same grammar without enumerating
-  anything: a recurrence over integer raw-moment sums serves the exact
-  statistics of every n, and a dynamic program over tail polynomials,
-  built only when a histogram is asked for and keeping only the last L of
-  them, gives the full summand-count distribution.
+  anything: one recurrence over the legal tails of each length (leading
+  zeros allowed) serves both views, since the outcomes at n are the tails
+  of length n less the tails that start with the size-0 block ``[0]``,
+  P_n = Q_n - Q_{n-1}.  Integer raw-moment sums of the tails give the
+  exact statistics of every n, and a dynamic program over tail
+  polynomials, built only when a histogram is asked for and keeping only
+  the last L of them, gives the full summand-count distribution.
 
 Counts are exact integers, probabilities and moments exact rationals.
 """
@@ -89,11 +92,11 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
     lengths = catalog.length_table
     L = spec.length
 
-    def choices(remaining: int, first: bool) -> list[tuple[tuple[int, ...], int]]:
+    def choices(remaining: int) -> list[tuple[tuple[int, ...], int]]:
         """The (block, size) pairs that can start a rest of this length, in
         walk order."""
         out = []
-        for t in range(1 if first else 0, spec.size):
+        for t in range(spec.size):
             if lengths[t] > remaining:
                 break  # lengths are non-decreasing in t
             out.append((t, 2, catalog.type2_by_size[t].coefficients))
@@ -103,14 +106,15 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
         out.sort()
         return [(block, t) for t, _, block in out]
 
-    # The walk order of every shorter rest, built once per call.
-    orders = [None] + [choices(r, False) for r in range(1, n)]
+    # The walk order of every rest length, built once per call.
+    orders = [None] + [choices(r) for r in range(1, n + 1)]
 
     # Depth-first over the block sequence with an explicit stack, so deep
     # strings (a long run of short blocks) never hit the recursion limit.
     # Each entry holds the string so far, the size of its last block and
-    # the blocks still to try after it.
-    stack = [((), None, iter(choices(n, True)))]
+    # the blocks still to try after it.  An outcome leads with a positive
+    # block, so the top level skips the size-0 block [0], which sorts first.
+    stack = [((), None, iter(orders[n][1:]))]
     while stack:
         head, last, pending = stack[-1]
         for block, t in pending:
@@ -233,37 +237,30 @@ def _require_three_blocks(spec: RecurrenceSpec, n: int) -> None:
         raise IndexTooSmall(f"need n > 2L = {2 * spec.length}, got {n}")
 
 
-def _size_powers(lengths: tuple[int, ...], first: int) -> tuple:
-    """Per block length, shortest first, ``(length, (sum t^0, ..., sum t^4))``
-    over the sizes ``t >= first`` of that length."""
-    groups: dict[int, list[int]] = {}
-    for t in range(first, len(lengths)):
-        groups.setdefault(lengths[t], []).append(t)
-    return tuple(
-        (ell, tuple(sum(t**m for t in sizes) for m in range(5)))
-        for ell, sizes in sorted(groups.items())
-    )
+def _by_length(lengths: tuple[int, ...]) -> tuple:
+    """The type-2 sizes grouped by block length, shortest first.
 
-
-def _moment_weights(powers: tuple) -> tuple:
-    """The power sums of :func:`_size_powers` as moment weights.
-
-    Prepending a block of size t to a string of k summands gives k + t
-    summands, and ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``.  Summed over
-    the sizes of one length, the raw sums of the shorter tail enter
-    ``A_j`` with weight ``C(j, i) * sum_t t^(j-i)``.  Returns
-    ``(length, ((j, i, weight), ...))`` per length, shortest first, with
-    zero weights left out.
+    Per length l: ``(l, (sum t^0, ..., sum t^4), weights)`` over the sizes
+    t of length l.  Prepending a block of size t to a string of k summands
+    gives k + t summands, and ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``, so
+    summed over the sizes of one length the raw sums of the shorter tail
+    enter ``A_j`` with weight ``C(j, i) * sum_t t^(j-i)``; ``weights`` holds
+    the non-zero ones as ``(j, i, weight)``.
     """
-    return tuple(
-        (ell, tuple(
+    groups: dict[int, list[int]] = {}
+    for t, ell in enumerate(lengths):
+        groups.setdefault(ell, []).append(t)
+    out = []
+    for ell, sizes in sorted(groups.items()):
+        power = tuple(sum(t**m for t in sizes) for m in range(5))
+        weights = tuple(
             (j, i, comb(j, i) * power[j - i])
             for j in range(5)
             for i in range(j + 1)
             if power[j - i]
-        ))
-        for ell, power in powers
-    )
+        )
+        out.append((ell, power, weights))
+    return tuple(out)
 
 
 def _shift_add(acc: list[int], src: list[int] | tuple[int, ...], t: int) -> None:
@@ -277,21 +274,23 @@ def _shift_add(acc: list[int], src: list[int] | tuple[int, ...], t: int) -> None
 class SummandTable:
     """Exact summand-count statistics of every index, by block grammar.
 
-    ``Q_r`` counts the legal *remainder* strings of length r (leading zeros
+    ``Q_r`` counts the legal *tail* strings of length r (leading zeros
     allowed) by summand count:
 
         Q_0 = 1
         Q_r = sum over type-2 sizes t with len(t) <= r of x^t Q_{r-len(t)}
               + x^{size of the type-1 block of length r}   (only if r < L)
 
-    The histogram of the full outcome space follows by restricting the
-    first block to positive sizes:
-
-        P_n = sum over t >= 1 with len(t) <= n of x^t Q_{n-len(t)}
-              + x^{size of the type-1 block of length n}   (only if n < L)
-
     The type-1 term enters only when the block fills the rest of the
-    string, which encodes "at most one type-1 block, always last".
+    string, which encodes "at most one type-1 block, always last".  The
+    outcomes at index n are the tails of length n whose first block has a
+    positive size, so their histogram is
+
+        P_n = Q_n - Q_{n-1},
+
+    because a tail of length n either starts with ``[0]``, the only block
+    of size 0 (length 1, no summand), followed by any tail of length n - 1,
+    or it is an outcome.
 
     Statistics never build these polynomials.  The table keeps, per tail
     length r, the five integer raw-moment sums
@@ -302,8 +301,8 @@ class SummandTable:
                      sum_{i <= j} C(j, i) t^(j-i) A_i(r - len(t))
                  + s_r^j   (type-1 block of size s_r, only if r < L)
 
-    ``P_n``'s sums follow the same way with t >= 1, and :meth:`stats`
-    turns them into exact moments.  Each row holds O(n)-bit integers, so
+    :meth:`stats` subtracts the rows of n - 1 from those of n and turns the
+    difference into exact moments.  Each row holds O(n)-bit integers, so
     statistics up to n cost O(n^2) bits.  The tail polynomials themselves
     are built only when :meth:`polynomial` asks for a histogram, and only
     the last L of them are kept: no block is longer than L, so ``Q_r``
@@ -314,44 +313,36 @@ class SummandTable:
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
         self.catalog = block_catalog(spec)
-        lengths = self.catalog.length_table
-        self._tail_powers = _size_powers(lengths, 0)
-        self._tail_weights = _moment_weights(self._tail_powers)
-        self._first_weights = _moment_weights(_size_powers(lengths, 1))
+        self._by_length = _by_length(self.catalog.length_table)
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
         # Q_r for the last L tail lengths r up to self._top, oldest first
         self._tails: list[list[int]] = []
         self._top = -1
         self._stats: dict[int, EnsembleStats] = {}
 
-    def _sums(self, weights, r: int) -> tuple[int, ...]:
-        """Raw-moment sums of length-r strings, first block drawn from ``weights``."""
-        rows = self._moments
-        acc = [0, 0, 0, 0, 0]
-        for ell, terms in weights:
-            if ell > r:
-                break
-            row = rows[r - ell]
-            for j, i, w in terms:
-                acc[j] += w * row[i]
-        if r < self.spec.length:
-            size = self.catalog.type1_blocks[r - 1].size
-            acc = [a + size**j for j, a in enumerate(acc)]
-        return tuple(acc)
-
     def extend(self, n: int) -> None:
         """Ensure the moment rows of tails up to length ``n`` exist."""
         rows = self._moments
         while len(rows) <= n:
-            rows.append(self._sums(self._tail_weights, len(rows)))
+            r = len(rows)
+            acc = [0, 0, 0, 0, 0]
+            for ell, _, weights in self._by_length:
+                if ell > r:
+                    break
+                row = rows[r - ell]
+                for j, i, w in weights:
+                    acc[j] += w * row[i]
+            if r < self.spec.length:
+                size = self.catalog.type1_blocks[r - 1].size
+                acc = [a + size**j for j, a in enumerate(acc)]
+            rows.append(tuple(acc))
 
-    def _histogram(self, r: int, first: int) -> list[int]:
-        """Histogram of length-r strings with a first block of size >= first;
-        the kept tails must end at ``Q_{r-1}``."""
+    def _histogram(self, r: int) -> list[int]:
+        """``Q_r``; the kept tails must end at ``Q_{r-1}``."""
         lengths = self.catalog.length_table
         tails = self._tails
         acc: list[int] = []
-        for t in range(first, self.spec.size):
+        for t in range(self.spec.size):
             ell = lengths[t]
             if ell > r:
                 break  # lengths are non-decreasing in t
@@ -371,7 +362,7 @@ class SummandTable:
             self._top = 0
         while self._top < n:
             self._top += 1
-            tails.append(self._histogram(self._top, 0))
+            tails.append(self._histogram(self._top))
             if len(tails) > self.spec.length:
                 del tails[0]
 
@@ -380,7 +371,10 @@ class SummandTable:
         if n < 1:
             raise ValueError("n must be >= 1")
         self._extend_tails(n - 1)
-        return SummandPolynomial(n, tuple(self._histogram(n, 1)))
+        acc = self._histogram(n)
+        for k, q in enumerate(self._tails[-1]):  # minus Q_{n-1}
+            acc[k] -= q
+        return SummandPolynomial(n, tuple(acc))
 
     def removal_rows(self, n: int) -> tuple:
         """The spaces left by removing the second-to-last block at index n.
@@ -394,7 +388,7 @@ class SummandTable:
         _require_three_blocks(self.spec, n)
         return tuple(
             (ell, power[:3], self.stats(n - ell).raw_sums[:3])
-            for ell, power in self._tail_powers
+            for ell, power, _ in self._by_length
         )
 
     def stats(self, n: int) -> EnsembleStats:
@@ -403,8 +397,9 @@ class SummandTable:
         if got is None:
             if n < 1:
                 raise ValueError("n must be >= 1")
-            self.extend(n - 1)
-            sums = self._sums(self._first_weights, n)
+            self.extend(n)
+            rows = self._moments
+            sums = tuple(a - b for a, b in zip(rows[n], rows[n - 1]))
             got = self._stats[n] = EnsembleStats(n, sums)
         return got
 
@@ -450,14 +445,6 @@ class ZDistribution:
     lengths: tuple[int, ...]
     cardinality: int
     empirical_counts: tuple[int, ...] | None = None
-
-    @property
-    def length_distribution(self) -> dict[int, Fraction]:
-        """Induced distribution of the second-to-last block's length."""
-        out: dict[int, Fraction] = {}
-        for t, p in enumerate(self.probs):
-            out[self.lengths[t]] = out.get(self.lengths[t], Fraction(0)) + p
-        return dict(sorted(out.items()))
 
 
 def z_distribution(

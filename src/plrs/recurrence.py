@@ -46,7 +46,6 @@ __all__ = [
     "BlockKind",
     "BlockCatalog",
     "validate_spec",
-    "sequence_terms",
     "block_catalog",
 ]
 
@@ -196,13 +195,6 @@ class SequenceTable:
         return n
 
 
-def sequence_terms(spec: RecurrenceSpec, n: int) -> SequenceTable:
-    """Build a table holding the exact terms ``H_1, ..., H_n``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return SequenceTable(spec, n)
-
-
 class BlockKind(Enum):
     TYPE1 = "type1"
     TYPE2 = "type2"
@@ -253,12 +245,6 @@ class BlockCatalog:
                 f"block size {t} outside [0, {self.spec.size - 1}]"
             )
         return self.length_table[t]
-
-    def type1_of_length(self, m: int) -> Block:
-        """The type-1 block of length ``m`` (1 <= m < L)."""
-        if not 1 <= m < self.spec.length:
-            raise SizeOutOfRange(f"no type-1 block of length {m}")
-        return self.type1_blocks[m - 1]
 
 
 @cache

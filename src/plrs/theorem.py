@@ -78,7 +78,6 @@ __all__ = [
     "compute_c",
     "verify_variance_bound",
     "gaussian_diagnostics",
-    "gaussian_trend_ok",
     "first_moment_identity",
     "second_moment_identity",
 ]
@@ -331,13 +330,8 @@ def gaussian_diagnostics(engine: SummandTable, n_list) -> tuple[GaussianRow, ...
     :class:`DegenerateVariance` when some index has a one-point
     distribution (possible only for n <= L).
     """
-    ns = list(n_list)
-    if not ns:
-        return ()
-    engine.extend(max(ns) - 1)
-
     rows = []
-    for n in ns:
+    for n in n_list:
         s = engine.stats(n)
         if s.variance == 0:
             raise DegenerateVariance(f"variance is zero at n={n}")
@@ -346,25 +340,6 @@ def gaussian_diagnostics(engine: SummandTable, n_list) -> tuple[GaussianRow, ...
         exkurt = s.central4 / s.variance**2 - 3
         rows.append(GaussianRow(n, skew, float(exkurt), skew_sq, exkurt))
     return tuple(rows)
-
-
-def gaussian_trend_ok(rows) -> bool:
-    """Both shape magnitudes strictly smaller at the largest index.
-
-    Compares the first row against the last (exact rationals, zero
-    tolerance).  Identically-symmetric distributions have zero skewness at
-    every index, so the strict comparison is falsified there even though
-    the shape is already Gaussian-like; acceptance criterion 10 is the
-    caller that treats 0 == 0 separately, as exact symmetry.
-    """
-    rows = list(rows)
-    if len(rows) < 2:
-        raise ValueError("need at least two rows to compare a trend")
-    first, last = rows[0], rows[-1]
-    return (
-        last.skewness_squared < first.skewness_squared
-        and abs(last.excess_kurtosis_exact) < abs(first.excess_kurtosis_exact)
-    )
 
 
 def _removal_sums(engine: SummandTable, n: int) -> tuple[int, int, int]:

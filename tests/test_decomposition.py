@@ -213,9 +213,10 @@ def test_is_legal_goldens(fib, h2202):
         ([-1, "x"], 1),
         (lambda: (a for a in [1, 0, None]), 2),  # a fresh generator per read
         ([10**400, 1.5], 1),  # the int-sum fast path overflows to float
+        ((1, 0.5, 1), 1),
     ],
     ids=["str", "none", "float-above", "float-equal", "float-last", "after-negative",
-         "generator", "float-after-huge-int"],
+         "generator", "float-after-huge-int", "float-inside"],
 )
 def test_is_legal_reports_non_integer_entries(fib, coeffs, position):
     fresh = coeffs if callable(coeffs) else lambda: coeffs
@@ -227,6 +228,11 @@ def test_is_legal_reports_non_integer_entries(fib, coeffs, position):
         IllegalDecomposition, match=rf"^non-integer coefficient \(position {position}\)$"
     ):
         Decomposition(fib, fresh())
+    # and so does the block parse behind second_to_last_block_size
+    with pytest.raises(
+        IllegalDecomposition, match=rf"^non-integer coefficient \(position {position}\)$"
+    ):
+        second_to_last_block_size(fib, fresh())
 
 
 def test_is_legal_takes_bools_as_ints(fib):
@@ -381,7 +387,7 @@ def test_illegal_construction_raises(fib):
 
 
 def test_text_round_trip(fib):
-    d = Decomposition.from_text(fib, "1 0 1 0 1")
+    d = Decomposition(fib, (1, 0, 1, 0, 1))
     assert d.to_text() == "1 0 1 0 1"
 
 

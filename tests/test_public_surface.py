@@ -11,7 +11,7 @@ PUBLIC = {
     "__version__",
     # recurrence
     "RecurrenceSpec", "SequenceTable", "Block", "BlockKind", "BlockCatalog",
-    "validate_spec", "sequence_terms", "block_catalog",
+    "validate_spec", "block_catalog",
     # decomposition
     "Decomposition", "BlockParse", "LegalityResult", "decompose", "value",
     "is_legal", "parse_blocks", "second_to_last_block_size",
@@ -25,7 +25,7 @@ PUBLIC = {
     "DEFAULT_PRECISION_BITS", "GrowthEstimate", "ConstantChoice",
     "PerIndexVerdict", "GaussianRow", "TheoremReport", "estimate_growth",
     "y_statistics", "find_threshold_N", "compute_c", "verify_variance_bound",
-    "gaussian_diagnostics", "gaussian_trend_ok", "first_moment_identity",
+    "gaussian_diagnostics", "first_moment_identity",
     "second_moment_identity",
     # rationals
     "format_fraction", "parse_fraction", "decimal_str", "round_to_bits",

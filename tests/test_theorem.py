@@ -302,18 +302,6 @@ def test_gaussian_empty_list(fib):
     assert gaussian_diagnostics(SummandTable(fib), []) == ()
 
 
-def test_gaussian_trend_helper():
-    from plrs import gaussian_trend_ok
-
-    fib = validate_spec((1, 1))
-    assert gaussian_trend_ok(gaussian_diagnostics(SummandTable(fib), [30, 90]))
-    # exactly symmetric distribution: skewness 0 at both ends, strict fails
-    binary = validate_spec((1, 2))
-    assert not gaussian_trend_ok(gaussian_diagnostics(SummandTable(binary), [30, 90]))
-    with pytest.raises(ValueError):
-        gaussian_trend_ok(gaussian_diagnostics(SummandTable(fib), [30]))
-
-
 # -- internal consistency guard --------------------------------------------------------
 
 def test_y_mean_check_detects_corrupt_residuals(fib):
