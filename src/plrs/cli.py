@@ -195,6 +195,12 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _records(header: str, rows: Iterable[tuple]) -> list[dict]:
+    """The json records of csv rows: each row's cells keyed by the header."""
+    keys = header.split(",")
+    return [dict(zip(keys, cells)) for cells in rows]
+
+
 def _csv(payload: Payload) -> str:
     lines = [payload.header]
     lines.extend(",".join(map(_cell, row)) for row in payload.rows())
@@ -227,9 +233,28 @@ def _require(condition, message: str):
         raise ValueError(message)
 
 
+def _ints(parts: Iterable[str], what: str) -> list[int]:
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"cannot parse {what}") from None
+
+
 def _spec(cfg: RunConfig) -> RecurrenceSpec:
     _require(cfg.coefficients, "missing --coeffs (or 'coefficients' in --config)")
     return RecurrenceSpec.from_text(cfg.coefficients)
+
+
+def _gaussian_record(row) -> dict:
+    """A Gaussian row as ``gauss`` and ``verify`` write it: floats as their
+    ``repr``, exact values as ``p/q`` strings."""
+    return {
+        "n": row.n,
+        "skewness": repr(row.skewness),
+        "excess_kurtosis": repr(row.excess_kurtosis),
+        "skewness_squared": format_fraction(row.skewness_squared),
+        "excess_kurtosis_exact": format_fraction(row.excess_kurtosis_exact),
+    }
 
 
 def _outcomes(head: dict, key: str, rows: list, footer: str = "") -> Payload:
@@ -341,7 +366,7 @@ def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
 def _cmd_validate(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.text is not None, "validate needs a coefficient string")
     spec = _spec(cfg)
-    coeffs = [int(part) for part in cfg.text.split()]
+    coeffs = _ints(cfg.text.split(), f"coefficient string {cfg.text!r}")
     verdict = is_legal(spec, coeffs)
     return (0 if verdict else 1), Payload(
         data=lambda: {
@@ -467,27 +492,17 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
                 )
                 rows.append((name, t, lhs, rhs))
     ok = all(l == r for _, _, l, r in rows)
+    header = "identity,t,lhs,rhs,equal"
+    cells = [(name, t, format_fraction(l), format_fraction(r), l == r) for name, t, l, r in rows]
     return (0 if ok else 1), Payload(
         data=lambda: {
             "n": cfg.n,
             "enumeration_checked": not skipped,
             "all_equal": ok,
-            "checks": [
-                {
-                    "identity": name,
-                    "t": t,
-                    "lhs": format_fraction(l),
-                    "rhs": format_fraction(r),
-                    "equal": l == r,
-                }
-                for name, t, l, r in rows
-            ],
+            "checks": _records(header, cells),
         },
-        header="identity,t,lhs,rhs,equal",
-        rows=lambda: (
-            (name, t, format_fraction(l), format_fraction(r), l == r)
-            for name, t, l, r in rows
-        ),
+        header=header,
+        rows=lambda: cells,
         footer=("conditional checks skipped (space above cap)\n" if skipped else "")
         + ("all identities hold exactly\n" if ok else "IDENTITY FAILURE\n"),
     )
@@ -502,19 +517,56 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
     except BoundViolated as exc:
         report, code = exc.report, 1
         print(f"variance bound FAILED at n = {exc.n}", file=sys.stderr)
+    spec, growth, choice = report.spec, report.growth, report.choice
+    c = choice.value
+    header = "n,mean,variance,c_times_n,margin,pass"
+
+    def cells():
+        for row in report.per_n:
+            exact = map(format_fraction, (row.mean, row.variance, row.bound, row.margin))
+            yield (row.n, *exact, row.passed)
+
+    def data():
+        return {
+            "spec": str(spec),
+            "n_max": n_max,
+            "size": spec.size,
+            "length": spec.length,
+            "precision_bits": growth.precision_bits,
+            "a_est": format_fraction(growth.a_est),
+            "a_est_decimal": decimal_str(growth.a_est, 12),
+            "b_est": format_fraction(growth.b_est),
+            "b_est_decimal": decimal_str(growth.b_est, 12),
+            "convergence_gap": format_fraction(growth.convergence_gap),
+            "convergence_gap_decimal": decimal_str(growth.convergence_gap, 40),
+            "threshold_N": report.threshold_N,
+            "y_bound": format_fraction(report.y_bound),
+            "var_y": {str(n): format_fraction(v) for n, v in sorted(report.var_y.items())},
+            "c": format_fraction(c),
+            "c_decimal": decimal_str(c, 12),
+            "c_source": choice.source,
+            "c_candidates": [
+                {"source": s, "value": format_fraction(v)} for s, v in choice.candidates
+            ],
+            "slope_C_est": format_fraction(report.slope_C_est),
+            "slope_C_est_decimal": decimal_str(report.slope_C_est, 12),
+            "all_pass": report.all_pass,
+            "per_n": _records(header, cells()),
+            "gaussian": [_gaussian_record(row) for row in report.gaussian],
+        }
 
     def text():
-        header = f"{'n':>6} {'mean':>14} {'variance':>14} {'c*n':>14} {'margin':>14}  pass"
+        columns = f"{'n':>6} {'mean':>14} {'variance':>14} {'c*n':>14} {'margin':>14}  pass"
         lines = [
-            f"recurrence {report.spec} (S={report.size}, L={report.length}), n_max={report.n_max}",
-            f"a_est = {decimal_str(report.a_est, 10)}  b_est = {decimal_str(report.b_est, 10)}"
-            f"  convergence_gap = {decimal_str(report.convergence_gap, 20)}",
+            f"recurrence {spec} (S={spec.size}, L={spec.length}), n_max={n_max}",
+            f"a_est = {decimal_str(growth.a_est, 10)}  b_est = {decimal_str(growth.b_est, 10)}"
+            f"  convergence_gap = {decimal_str(growth.convergence_gap, 20)}",
             f"threshold N = {report.threshold_N}  "
-            f"c = {format_fraction(report.c)} ~ {decimal_str(report.c, 10)}  (from {report.c_source})",
+            f"c = {format_fraction(c)} ~ {decimal_str(c, 10)}  (from {choice.source})",
             f"variance slope estimate = {decimal_str(report.slope_C_est, 10)}",
             "",
-            header,
-            "-" * len(header),
+            columns,
+            "-" * len(columns),
         ]
         lines.extend(
             f"{row.n:>6} {decimal_str(row.mean, 6):>14} "
@@ -531,29 +583,13 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
         )
         return "\n".join(lines) + "\n"
 
-    return code, Payload(
-        data=report.to_json_dict,
-        header="n,mean,variance,c_times_n,margin,pass",
-        rows=lambda: (
-            (
-                row.n,
-                format_fraction(row.mean),
-                format_fraction(row.variance),
-                format_fraction(row.bound),
-                format_fraction(row.margin),
-                row.passed,
-            )
-            for row in report.per_n
-        ),
-        text=text,
-        indent=2,
-    )
+    return code, Payload(data, header, cells, text, indent=2)
 
 
 def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
     text = "50,100,200,400" if cfg.n_list is None else cfg.n_list
-    ns = [int(part) for part in text.split(",") if part.strip()]
+    ns = _ints((part for part in text.split(",") if part.strip()), f"--n-list {text!r}")
     _require(ns, "gauss needs a non-empty --n-list")
     rows = gaussian_diagnostics(SummandTable(spec), ns)
 
@@ -567,7 +603,7 @@ def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     return 0, Payload(
         data=lambda: {
             "coefficients": str(spec),
-            "rows": [r.to_json_dict() for r in rows],
+            "rows": [_gaussian_record(r) for r in rows],
         },
         header="n,skewness,excess_kurtosis",
         rows=lambda: ((r.n, repr(r.skewness), repr(r.excess_kurtosis)) for r in rows),

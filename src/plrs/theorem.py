@@ -62,7 +62,7 @@ from .errors import (
     SpecMismatch,
     WindowTooSmall,
 )
-from .rationals import decimal_str, format_fraction, round_to_bits
+from .rationals import format_fraction, round_to_bits
 from .recurrence import RecurrenceSpec
 
 __all__ = [
@@ -178,7 +178,8 @@ def y_statistics(
     must equal ``f(n)`` (the first removal identity in disguise), or it
     raises: the moment rows and the residual table disagree.  With
     ``a = alpha/D`` and ``b = beta/D`` over a power of two D, the integers
-    ``F_m = D * T_m * f(m)`` must satisfy, over the rows of
+    ``F_m = D * T_m * f(m) = D A_1(m) - (alpha m + beta) T_m`` (a table
+    where one is not an integer raises too) must satisfy, over the rows of
     :meth:`SummandTable.removal_rows`,
     ``sum_l (D T_r s1 + k (F_r - alpha l T_r)) == F_n``.
 
@@ -196,10 +197,15 @@ def y_statistics(
     D = math.lcm(a.denominator, b.denominator)  # a power of two
     alpha = a.numerator * (D // a.denominator)
 
-    def scaled_f(m: int, T: int) -> int | Fraction:
+    def scaled_f(m: int, T: int) -> int:
         f = growth.f(m)
         F, rem = divmod(D * T * f.numerator, f.denominator)
-        return Fraction(D * T * f.numerator, f.denominator) if rem else F
+        if rem:
+            raise PlrsError(
+                f"D*T_m*f(m) is not an integer at m={m}; "
+                "the residual table does not match the moment rows"
+            )
+        return F
 
     mean_sum = sum(
         D * Tr * s1 + k * (scaled_f(n - ell, Tr) - alpha * ell * Tr)
@@ -310,17 +316,6 @@ class GaussianRow:
     skewness_squared: Fraction
     excess_kurtosis_exact: Fraction
 
-    def to_json_dict(self) -> dict:
-        """The row as ``gauss`` and ``verify`` write it: floats as their
-        ``repr``, exact values as ``p/q`` strings."""
-        return {
-            "n": self.n,
-            "skewness": repr(self.skewness),
-            "excess_kurtosis": repr(self.excess_kurtosis),
-            "skewness_squared": format_fraction(self.skewness_squared),
-            "excess_kurtosis_exact": format_fraction(self.excess_kurtosis_exact),
-        }
-
 
 def gaussian_diagnostics(engine: SummandTable, n_list) -> tuple[GaussianRow, ...]:
     """Exact skewness and excess kurtosis at the given indices.
@@ -384,22 +379,24 @@ def second_moment_identity(engine: SummandTable, n: int) -> tuple[Fraction, Frac
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Everything the variance-bound verification produced."""
+    """Everything the variance-bound verification produced.
+
+    Each result of the chain is held once, where it was computed: ``size``
+    and ``length`` are on ``spec``; ``precision_bits``, ``a_est``,
+    ``b_est`` and ``convergence_gap`` on ``growth``; the constant c, the
+    candidate it came from and every candidate on ``choice`` (``value``,
+    ``source``, ``candidates``).  ``threshold_N``, ``y_bound`` (a^2/(2S)),
+    ``var_y`` (Var[Y_n] over the sweep), ``slope_C_est``, the per-index
+    rows and the Gaussian rows are the report's own.
+    """
 
     spec: RecurrenceSpec
     n_max: int
-    size: int
-    length: int
-    precision_bits: int
-    a_est: Fraction
-    b_est: Fraction
-    convergence_gap: Fraction
+    growth: GrowthEstimate
     threshold_N: int
     y_bound: Fraction  # a^2 / (2S)
     var_y: dict[int, Fraction]
-    c: Fraction
-    c_source: str
-    c_candidates: tuple[tuple[str, Fraction], ...]
+    choice: ConstantChoice
     slope_C_est: Fraction
     per_n: tuple[PerIndexVerdict, ...]
     gaussian: tuple[GaussianRow, ...]
@@ -411,46 +408,6 @@ class TheoremReport:
     @property
     def violations(self) -> tuple[int, ...]:
         return tuple(row.n for row in self.per_n if not row.passed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": str(self.spec),
-            "n_max": self.n_max,
-            "size": self.size,
-            "length": self.length,
-            "precision_bits": self.precision_bits,
-            "a_est": format_fraction(self.a_est),
-            "a_est_decimal": decimal_str(self.a_est, 12),
-            "b_est": format_fraction(self.b_est),
-            "b_est_decimal": decimal_str(self.b_est, 12),
-            "convergence_gap": format_fraction(self.convergence_gap),
-            "convergence_gap_decimal": decimal_str(self.convergence_gap, 40),
-            "threshold_N": self.threshold_N,
-            "y_bound": format_fraction(self.y_bound),
-            "var_y": {str(n): format_fraction(v) for n, v in sorted(self.var_y.items())},
-            "c": format_fraction(self.c),
-            "c_decimal": decimal_str(self.c, 12),
-            "c_source": self.c_source,
-            "c_candidates": [
-                {"source": s, "value": format_fraction(v)}
-                for s, v in self.c_candidates
-            ],
-            "slope_C_est": format_fraction(self.slope_C_est),
-            "slope_C_est_decimal": decimal_str(self.slope_C_est, 12),
-            "all_pass": self.all_pass,
-            "per_n": [
-                {
-                    "n": row.n,
-                    "mean": format_fraction(row.mean),
-                    "variance": format_fraction(row.variance),
-                    "c_times_n": format_fraction(row.bound),
-                    "margin": format_fraction(row.margin),
-                    "pass": row.passed,
-                }
-                for row in self.per_n
-            ],
-            "gaussian": [row.to_json_dict() for row in self.gaussian],
-        }
 
 
 def verify_variance_bound(
@@ -470,7 +427,6 @@ def verify_variance_bound(
     """
     spec = engine.spec
     L = spec.length
-    S = spec.size
     growth = estimate_growth(engine, n_max, precision_bits=precision_bits)
     var_y, bound, N = _threshold(engine, growth, n_max)
     if n_max < N + 10:
@@ -503,18 +459,11 @@ def verify_variance_bound(
     report = TheoremReport(
         spec=spec,
         n_max=n_max,
-        size=S,
-        length=L,
-        precision_bits=precision_bits,
-        a_est=growth.a_est,
-        b_est=growth.b_est,
-        convergence_gap=growth.convergence_gap,
+        growth=growth,
         threshold_N=N,
         y_bound=bound,
         var_y=var_y,
-        c=c,
-        c_source=choice.source,
-        c_candidates=choice.candidates,
+        choice=choice,
         slope_C_est=slope_C_est,
         per_n=tuple(per_n),
         gaussian=gaussian,

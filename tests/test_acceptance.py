@@ -11,6 +11,7 @@ dynamic-program identity still runs over the full stated range.  The
 exact-identity content of each criterion is never weakened.
 """
 
+import json
 import math
 import time
 from collections import defaultdict
@@ -269,10 +270,14 @@ def test_criterion_09_variance_lower_bound(engines, capsys):
     for coeffs in SPECS:
         report = verify_variance_bound(engines[coeffs], 400)
         assert report.all_pass, coeffs
-        assert report.c > 0
-        payload = report.to_json_dict()
+        assert report.choice.value > 0
         # the estimation budget must be documented in the serialized report
-        assert "precision_bits" in payload and "convergence_gap" in payload
+        text = ",".join(map(str, coeffs))
+        code = cli_main(["--coeffs", text, "--format", "json", "verify", "--n-max", "400"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0, coeffs
+        assert payload["precision_bits"] == report.growth.precision_bits == 128
+        assert Fraction(payload["convergence_gap"]) == report.growth.convergence_gap
     # the CLI front end must exit 0 on the same check
     code = cli_main(["--coeffs", "1,1", "verify", "--n-max", "400"])
     out = capsys.readouterr().out

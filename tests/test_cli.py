@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from plrs import SummandTable, validate_spec, verify_variance_bound
 from plrs.cli import MAX_PRECISION_BITS, RunConfig, main
 
 
@@ -152,6 +153,19 @@ def test_verify_json_schema(capsys):
     assert "/" in data["per_n"][0]["mean"] or data["per_n"][0]["mean"].isdigit()
 
 
+def test_verify_report_serialization(capsys):
+    code, out, _ = run(capsys, "--coeffs", "1,1", "--format", "json", "verify", "--n-max", "60")
+    assert code == 0
+    data = json.loads(out)
+    report = verify_variance_bound(SummandTable(validate_spec((1, 1))), 60)
+    assert data["all_pass"] is True
+    assert data["spec"] == "1,1"
+    # exact rationals are strings, never JSON numbers
+    assert isinstance(data["c"], str)
+    assert isinstance(data["per_n"][0]["variance"], str)
+    assert len(data["per_n"]) == len(report.per_n)
+
+
 def test_gauss(capsys):
     code, out, _ = run(capsys, "--coeffs", "1,1", "--format", "csv", "gauss", "--n-list", "20,60")
     assert code == 0
@@ -290,6 +304,24 @@ def test_usage_errors(capsys):
     )
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("plrs: error:")
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("text", ["validate", "1 x"], "cannot parse coefficient string '1 x'"),
+        ("n_list", ["gauss", "--n-list", "5,x"], "cannot parse --n-list '5,x'"),
+    ],
+    ids=["text", "n_list"],
+)
+def test_parse_errors_name_the_input(tmp_path, capsys, route, name, argv, message):
+    if route == "config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"subcommand": argv[0], name: argv[-1]}))
+        argv = ["--config", str(cfg)]
+    code, out, err = run(capsys, "--coeffs", "1,1", *argv)
+    assert (code, out, err) == (2, "", f"plrs: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -495,6 +527,31 @@ DIGEST_COMMANDS = {
     "gauss": ["gauss", "--n-list", "20,40"],
     "sample": ["sample", "30", "--samples", "5", "--seed", "7"],
 }
+
+
+def _csv_cell(value) -> str:
+    """A json value as the csv writes it: booleans as true/false, null as
+    the empty cell, anything else as its string."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("coeffs", list(DIGEST_FIXTURES))
+@pytest.mark.parametrize(
+    "args, key",
+    [(["verify", "--n-max", "40"], "per_n"), (["identities", "9"], "checks")],
+    ids=["verify", "identities"],
+)
+def test_json_records_are_the_csv_rows(capsys, coeffs, args, key):
+    code, out, _ = run(capsys, "--coeffs", coeffs, "--format", "json", *args)
+    assert code == 0
+    records = json.loads(out)[key]
+    code, out, _ = run(capsys, "--coeffs", coeffs, "--format", "csv", *args)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert records and all(list(r) == header.split(",") for r in records)
+    assert [",".join(map(_csv_cell, r.values())) for r in records] == rows
 
 
 def _digest(text: str) -> str:

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -239,23 +239,10 @@ def test_verify_fibonacci_full():
     assert report.all_pass
     assert report.violations == ()
     assert report.threshold_N <= 60
-    assert report.c > 0
+    assert report.choice.value > 0
     assert report.slope_C_est > 0
     assert len(report.per_n) == 120 - spec.length
     assert all(row.margin >= 0 for row in report.per_n)
-
-
-def test_verify_report_serialization():
-    spec = validate_spec((1, 1))
-    report = verify_variance_bound(SummandTable(spec), 60)
-    payload = json.dumps(report.to_json_dict())
-    data = json.loads(payload)
-    assert data["all_pass"] is True
-    assert data["spec"] == "1,1"
-    # exact rationals are strings, never JSON numbers
-    assert isinstance(data["c"], str)
-    assert isinstance(data["per_n"][0]["variance"], str)
-    assert len(data["per_n"]) == len(report.per_n)
 
 
 def test_verify_bound_violated_carries_report(monkeypatch):
@@ -322,4 +309,11 @@ def test_y_mean_check_detects_corrupt_residuals(fib):
         convergence_gap=growth.convergence_gap,
     )
     with pytest.raises(PlrsError):
+        y_statistics(SummandTable(fib), 40, corrupt)
+    # A residual off by 1/3 leaves D*T_39*f(39) a non-integer (3 does not
+    # divide T_39 = H_38), which the mean check refuses by name.
+    f = list(growth.f_values)
+    f[38] += Fraction(1, 3)  # f(39)
+    corrupt = dataclasses.replace(growth, f_values=tuple(f))
+    with pytest.raises(PlrsError, match=r"not an integer at m=39;"):
         y_statistics(SummandTable(fib), 40, corrupt)
