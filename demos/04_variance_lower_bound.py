@@ -3,9 +3,9 @@
 
 The mean summand count grows linearly; proving the variance does too is
 the hard part.  The verification chain: estimate the slope a by
-differencing exact means, tabulate the residual f, sweep the centered
-second-to-last-block statistic Y until its variance clears a^2/(2S), take
-the explicit constant c from the base cases and the slope term, and check
+differencing exact means, sweep the centered second-to-last-block
+statistic Y until its variance clears a^2/(2S), take the explicit
+constant c from the base cases and the slope term, and check
 Var[K_n] >= c*n everywhere with exact rational comparisons.
 """
 

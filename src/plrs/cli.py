@@ -82,12 +82,12 @@ class RunConfig:
     coefficients: str | None = None
     subcommand: str | None = None
     n: int | None = None
-    n_max: int | None = None
-    n_list: str | None = None
+    n_max: int = 400
+    n_list: str = "50,100,200,400"
     text: str | None = None
     format: str = "table"
     seed: int | None = None
-    samples: int | None = None
+    samples: int = 10
     cap: int | None = None
     precision_bits: int = DEFAULT_PRECISION_BITS
     output: str | None = None
@@ -510,10 +510,9 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
 
 def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
     engine = SummandTable(_spec(cfg))
-    n_max = cfg.n_max if cfg.n_max is not None else 400
     code = 0
     try:
-        report = verify_variance_bound(engine, n_max, precision_bits=cfg.precision_bits)
+        report = verify_variance_bound(engine, cfg.n_max, precision_bits=cfg.precision_bits)
     except BoundViolated as exc:
         report, code = exc.report, 1
         print(f"variance bound FAILED at n = {exc.n}", file=sys.stderr)
@@ -529,7 +528,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
     def data():
         return {
             "spec": str(spec),
-            "n_max": n_max,
+            "n_max": cfg.n_max,
             "size": spec.size,
             "length": spec.length,
             "precision_bits": growth.precision_bits,
@@ -558,7 +557,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
     def text():
         columns = f"{'n':>6} {'mean':>14} {'variance':>14} {'c*n':>14} {'margin':>14}  pass"
         lines = [
-            f"recurrence {spec} (S={spec.size}, L={spec.length}), n_max={n_max}",
+            f"recurrence {spec} (S={spec.size}, L={spec.length}), n_max={cfg.n_max}",
             f"a_est = {decimal_str(growth.a_est, 10)}  b_est = {decimal_str(growth.b_est, 10)}"
             f"  convergence_gap = {decimal_str(growth.convergence_gap, 20)}",
             f"threshold N = {report.threshold_N}  "
@@ -588,8 +587,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
 
 def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
-    text = "50,100,200,400" if cfg.n_list is None else cfg.n_list
-    ns = _ints((part for part in text.split(",") if part.strip()), f"--n-list {text!r}")
+    parts = (part for part in cfg.n_list.split(",") if part.strip())
+    ns = _ints(parts, f"--n-list {cfg.n_list!r}")
     _require(ns, "gauss needs a non-empty --n-list")
     rows = gaussian_diagnostics(SummandTable(spec), ns)
 
@@ -613,12 +612,11 @@ def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
 
 def _cmd_sample(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.seed is not None, "sample needs an explicit --seed")
-    count = cfg.samples if cfg.samples is not None else 10
-    _require(count >= 1, "--samples must be >= 1")
+    _require(cfg.samples >= 1, "--samples must be >= 1")
     spec = _spec(cfg)
     table = SequenceTable(spec)
-    rows = [(value(table, d), d) for d in sample_uniform(table, cfg.n, count, cfg.seed)]
-    head = {"n": cfg.n, "seed": cfg.seed, "samples": count}
+    rows = [(value(table, d), d) for d in sample_uniform(table, cfg.n, cfg.samples, cfg.seed)]
+    head = {"n": cfg.n, "seed": cfg.seed, "samples": cfg.samples}
     return 0, _outcomes(head, "draws", rows)
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "IndexTooSmall",
     "EmptyConditionalEvent",
     "WindowTooSmall",
-    "MissingFValue",
     "NoThresholdInRange",
     "NonPositiveC",
     "BoundViolated",
@@ -111,10 +110,6 @@ class EmptyConditionalEvent(PlrsError, ValueError):
 
 class WindowTooSmall(PlrsError, ValueError):
     """Growth estimation needs a longer index window to settle."""
-
-
-class MissingFValue(PlrsError, KeyError):
-    """A residual value f(n) outside the tabulated window was requested."""
 
 
 class NoThresholdInRange(PlrsError):

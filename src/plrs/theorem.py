@@ -2,8 +2,8 @@
 
 The mean summand count grows like ``a*n + b`` up to a vanishing residual
 ``f(n)``.  This module estimates ``a`` and ``b`` by differencing the exact
-means, tabulates ``f``, and then runs the chain that yields a positive
-constant ``c`` with ``Var[K_n] >= c*n``:
+means, and then runs the chain that yields a positive constant ``c`` with
+``Var[K_n] >= c*n``:
 
 1. the centered statistic of the second-to-last block,
    ``Y_n = Z_n + f(n - L_n) - a*L_n``, has mean exactly ``f(n)`` and
@@ -55,7 +55,6 @@ from .ensemble import SummandTable
 from .errors import (
     BoundViolated,
     DegenerateVariance,
-    MissingFValue,
     NonPositiveC,
     NoThresholdInRange,
     PlrsError,
@@ -87,29 +86,21 @@ DEFAULT_PRECISION_BITS = 128
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Differenced growth constants and the residual table.
+    """Differenced growth constants of the mean summand count.
 
     ``a_est`` and ``b_est`` are dyadic rationals carrying
-    ``precision_bits`` significant bits; ``f_values[n-1]`` is the exact
-    residual ``E[K_n] - a_est*n - b_est``.  ``convergence_gap`` is the
+    ``precision_bits`` significant bits; ``b_est`` averages over ``window``,
+    which ends at the last index the estimate read.  ``convergence_gap`` is the
     change between the last two slope differences, the natural scale for
     how far ``a_est`` may sit from the true slope.
     """
 
     spec: RecurrenceSpec
-    n_max: int
     precision_bits: int
     a_est: Fraction
     b_est: Fraction
-    f_values: tuple[Fraction, ...]
     window: tuple[int, int]
     convergence_gap: Fraction
-
-    def f(self, n: int) -> Fraction:
-        """Residual at index ``n``; raises :class:`MissingFValue` outside the table."""
-        if not 1 <= n <= self.n_max:
-            raise MissingFValue(f"f({n}) not tabulated (window is 1..{self.n_max})")
-        return self.f_values[n - 1]
 
 
 def estimate_growth(
@@ -124,30 +115,24 @@ def estimate_growth(
     pairwise different denominators, so they are added in a balanced
     pairwise tree, which keeps the operands of every addition of similar
     size.  Both estimates are rounded to ``precision_bits`` bits, after
-    which the residual table is exact.
+    which every residual is exact.
     """
     L = engine.spec.length
     if n_max < 4 * L + 8:
         raise WindowTooSmall(f"need n_max >= 4L + 8 = {4 * L + 8}, got {n_max}")
-    means = [engine.mean(n) for n in range(1, n_max + 1)]
 
-    a_exact = means[-1] - means[-2]
-    prev_diff = means[-2] - means[-3]
+    a_exact = engine.mean(n_max) - engine.mean(n_max - 1)
+    prev_diff = engine.mean(n_max - 1) - engine.mean(n_max - 2)
     gap = abs(a_exact - prev_diff)
     a_est = round_to_bits(a_exact, precision_bits)
 
     width = max(2, n_max // 4)
     window = (n_max - width + 1, n_max)
     index_sum = (window[0] + window[1]) * width // 2
-    b_exact = (_pairwise_sum(means[window[0] - 1 :]) - a_est * index_sum) / width
+    means = [engine.mean(n) for n in range(window[0], n_max + 1)]
+    b_exact = (_pairwise_sum(means) - a_est * index_sum) / width
     b_est = round_to_bits(b_exact, precision_bits)
-
-    f_values = tuple(
-        means[n - 1] - a_est * n - b_est for n in range(1, n_max + 1)
-    )
-    return GrowthEstimate(
-        engine.spec, n_max, precision_bits, a_est, b_est, f_values, window, gap
-    )
+    return GrowthEstimate(engine.spec, precision_bits, a_est, b_est, window, gap)
 
 
 def _pairwise_sum(values: list[Fraction]) -> Fraction:
@@ -174,14 +159,12 @@ def y_statistics(
 
     The statistic weighs each second-to-last block size t, of length
     ``l = len(t)``, by its exact probability ``T_r / T_n`` (``r = n - l``,
-    ``T_m = H_{m+1} - H_m``) and evaluates ``t + f(r) - a*l``.  Its mean
-    must equal ``f(n)`` (the first removal identity in disguise), or it
-    raises: the moment rows and the residual table disagree.  With
-    ``a = alpha/D`` and ``b = beta/D`` over a power of two D, the integers
-    ``F_m = D * T_m * f(m) = D A_1(m) - (alpha m + beta) T_m`` (a table
-    where one is not an integer raises too) must satisfy, over the rows of
-    :meth:`SummandTable.removal_rows`,
-    ``sum_l (D T_r s1 + k (F_r - alpha l T_r)) == F_n``.
+    ``T_m = H_{m+1} - H_m``) and evaluates ``t + f(r) - a*l`` with
+    ``f(m) = E[K_m] - a*m - b``.  As ``r + l = n``, its mean is ``f(n)``,
+    for any a and b, exactly when the first removal identity holds: over
+    the rows of :meth:`SummandTable.removal_rows`, ``sum_l k T_r = T_n``
+    and ``sum_l (s1 T_r + k A_1(r)) = A_1(n)``.  Those integer checks run
+    first, and a failure raises; the mean is then read from the row at n.
 
     The variance is the law of total variance, free of a and b; with
     ``P = prod_l T_r`` it is one fraction:
@@ -191,37 +174,19 @@ def y_statistics(
            - T_n sum_l k (T_r A_2(r) - A_1(r)^2) P/T_r) / (T_n^2 P).
     """
     _require_same_spec(engine, growth)
-    rows = engine.removal_rows(n)
     Tn, A1n, A2n = engine.stats(n).raw_sums[:3]
-    a, b = growth.a_est, growth.b_est
-    D = math.lcm(a.denominator, b.denominator)  # a power of two
-    alpha = a.numerator * (D // a.denominator)
-
-    def scaled_f(m: int, T: int) -> int:
-        f = growth.f(m)
-        F, rem = divmod(D * T * f.numerator, f.denominator)
-        if rem:
-            raise PlrsError(
-                f"D*T_m*f(m) is not an integer at m={m}; "
-                "the residual table does not match the moment rows"
-            )
-        return F
-
-    mean_sum = sum(
-        D * Tr * s1 + k * (scaled_f(n - ell, Tr) - alpha * ell * Tr)
-        for ell, (k, s1, _), (Tr, _, _) in rows
-    )
-    if mean_sum != scaled_f(n, Tn):
+    if _removal_sums(engine, n)[:2] != (Tn, A1n):
         raise PlrsError(
-            f"mean of the centered block statistic at n={n} is not f(n); "
-            "the distribution engine and the residual table disagree"
+            f"removal rows at n={n} do not reassemble T_n and A_1(n), so the "
+            "mean of the centered block statistic is not f(n)"
         )
+    rows = engine.removal_rows(n)
     P = math.prod(Tr for _, _, (Tr, _, _) in rows)
     within = sum(
         k * (Tr * A2 - A1 * A1) * (P // Tr) for _, (k, _, _), (Tr, A1, A2) in rows
     )
     num = (Tn * A2n - A1n * A1n) * P - Tn * within
-    return growth.f(n), Fraction(num, Tn * Tn * P)
+    return engine.mean(n) - growth.a_est * n - growth.b_est, Fraction(num, Tn * Tn * P)
 
 
 def _threshold(

@@ -449,6 +449,23 @@ def test_every_setting_by_flag_and_by_config(monkeypatch, tmp_path, name):
     assert both == by_flag
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "bare, flagged",
+    [
+        (["verify"], ["verify", "--n-max", "400"]),
+        (["gauss"], ["gauss", "--n-list", "50,100,200,400"]),
+        (["sample", "30", "--seed", "7"], ["sample", "30", "--seed", "7", "--samples", "10"]),
+    ],
+    ids=["verify", "gauss", "sample"],
+)
+def test_subcommand_defaults_match_their_flags(capsys, fmt, bare, flagged):
+    common = ["--coeffs", "1,1", "--format", fmt]
+    by_default = run(capsys, *common, *bare)
+    assert by_default[0] == 0
+    assert by_default == run(capsys, *common, *flagged)
+
+
 @pytest.fixture
 def default_int_digits():
     """CPython's default int<->str digit limit (3.11+), restored afterwards."""

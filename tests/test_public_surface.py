@@ -35,7 +35,7 @@ PUBLIC = {
     "DegenerateRecurrence", "SizeOutOfRange", "NonPositiveInput",
     "SpecMismatch", "IllegalDecomposition", "TooFewBlocks", "CapExceeded",
     "EmptyDistribution", "IndexTooSmall", "EmptyConditionalEvent",
-    "WindowTooSmall", "MissingFValue", "NoThresholdInRange", "NonPositiveC",
+    "WindowTooSmall", "NoThresholdInRange", "NonPositiveC",
     "BoundViolated", "DegenerateVariance",
 }
 

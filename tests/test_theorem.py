@@ -1,6 +1,6 @@
-import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -8,9 +8,8 @@ from hypothesis import given
 from plrs import (
     ConstantChoice,
     DegenerateVariance,
-    GrowthEstimate,
     IndexTooSmall,
-    MissingFValue,
+    NonPositiveC,
     NoThresholdInRange,
     PlrsError,
     SequenceTable,
@@ -28,6 +27,7 @@ from plrs import (
     y_statistics,
     z_distribution,
 )
+from plrs import theorem
 from plrs.errors import BoundViolated
 from plrs.rationals import round_to_bits
 
@@ -47,9 +47,10 @@ def test_growth_fibonacci_slope():
 
 
 def test_growth_positive_slope_and_shrinking_residuals(fixture_spec):
-    growth = estimate_growth(SummandTable(fixture_spec), 80)
+    engine = SummandTable(fixture_spec)
+    growth = estimate_growth(engine, 80)
     assert growth.a_est > 0
-    f = growth.f_values
+    f = [engine.mean(n) - growth.a_est * n - growth.b_est for n in range(1, 81)]
     quarter = len(f) // 4
     head = max(abs(x) for x in f[:quarter])
     tail = max(abs(x) for x in f[-quarter:])
@@ -63,22 +64,14 @@ def test_growth_window_too_small(fixture_spec):
         estimate_growth(SummandTable(fixture_spec), 4 * fixture_spec.length)
 
 
-def test_growth_f_lookup_bounds(fib):
-    growth = estimate_growth(SummandTable(fib), 40)
-    assert growth.f(1) == growth.f_values[0]
-    with pytest.raises(MissingFValue):
-        growth.f(41)
-    with pytest.raises(MissingFValue):
-        growth.f(0)
-
-
 # -- the centered block statistic -------------------------------------------------
 
 def test_y_mean_equals_residual(fixture_spec):
-    growth = estimate_growth(SummandTable(fixture_spec), 80)
+    engine = SummandTable(fixture_spec)
+    growth = estimate_growth(engine, 80)
     for n in (2 * fixture_spec.length + 1, 40, 80):
         ey, var_y = y_statistics(SummandTable(fixture_spec), n, growth)
-        assert ey == growth.f(n)
+        assert ey == engine.mean(n) - growth.a_est * n - growth.b_est
         assert var_y >= 0
 
 
@@ -92,17 +85,16 @@ def test_y_statistics_errors(fib):
     growth = estimate_growth(SummandTable(fib), 40)
     with pytest.raises(IndexTooSmall):
         y_statistics(SummandTable(fib), 4, growth)
-    with pytest.raises(MissingFValue):
-        y_statistics(SummandTable(fib), 41, growth)
 
 
-def _reference_y_statistics(spec, n, growth):
+def _reference_y_statistics(engine, n, growth):
     """The statistic summed size by size over the block-size probabilities."""
-    zd = z_distribution(spec, n, cross_check=False)
+    zd = z_distribution(engine.spec, n, cross_check=False)
+    a, b = growth.a_est, growth.b_est
     ey = ey2 = Fraction(0)
     for t, p in enumerate(zd.probs):
-        ell = zd.lengths[t]
-        y = t + growth.f(n - ell) - growth.a_est * ell
+        r = n - zd.lengths[t]
+        y = t + (engine.mean(r) - a * r - b) - a * zd.lengths[t]
         ey += p * y
         ey2 += p * y * y
     return ey, ey2 - ey * ey
@@ -118,9 +110,10 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
         (engine.mean(n) - growth.a_est * n for n in range(lo, hi + 1)), Fraction(0)
     ) / (hi - lo + 1)
     assert growth.b_est == round_to_bits(b_fold, growth.precision_bits)
-    for n in range(2 * spec.length + 1, 61):
+    # past the estimate's window too: the residual is read at any index
+    for n in range(2 * spec.length + 1, 71):
         assert y_statistics(engine, n, growth) == _reference_y_statistics(
-            spec, n, growth
+            engine, n, growth
         )
 
 
@@ -147,6 +140,32 @@ def test_find_threshold_no_threshold(monkeypatch, fib):
     )
     with pytest.raises(NoThresholdInRange):
         find_threshold_N(SummandTable(fib), growth, 40)
+
+
+def test_find_threshold_takes_the_last_failure_and_counts_equality(monkeypatch, fib):
+    # Var[Y_n] <= bound fails an index, equality included, and N is the last
+    # failing index: 9 fails below the bound, 17 at it, every other passes.
+    growth = estimate_growth(SummandTable(fib), 40)
+    bound = growth.a_est**2 / (2 * fib.size)
+    variances = {9: bound / 2, 17: bound}
+    monkeypatch.setattr(
+        "plrs.theorem.y_statistics",
+        lambda engine, n, growth: (Fraction(0), variances.get(n, bound + 1)),
+    )
+    assert find_threshold_N(SummandTable(fib), growth, 40) == 17
+
+
+def test_verify_needs_ten_indices_beyond_the_threshold(monkeypatch, fib):
+    real = theorem.y_statistics
+
+    def y_fails_at_20(engine, n, growth):
+        ey, var_y = real(engine, n, growth)
+        return ey, Fraction(0) if n == 20 else var_y
+
+    monkeypatch.setattr("plrs.theorem.y_statistics", y_fails_at_20)
+    with pytest.raises(WindowTooSmall):
+        verify_variance_bound(SummandTable(fib), 29)
+    assert verify_variance_bound(SummandTable(fib), 30).threshold_N == 20
 
 
 def test_growth_read_against_another_table_raises(fib, h2202):
@@ -184,6 +203,21 @@ def test_compute_c_base_variances_positive(fixture_spec):
     N = find_threshold_N(engine, growth, 80)
     for n in range(fixture_spec.length + 1, N + 1):
         assert engine.stats(n).variance > 0
+
+
+def test_compute_c_rejects_a_vanished_base_variance(monkeypatch, fib):
+    # The per-index guard names the index; the guard on the minimum would
+    # raise too, but without it.
+    engine = SummandTable(fib)
+    growth = estimate_growth(engine, 40)
+    real = engine.stats
+    monkeypatch.setattr(
+        engine,
+        "stats",
+        lambda n: SimpleNamespace(variance=Fraction(0)) if n == 4 else real(n),
+    )
+    with pytest.raises(NonPositiveC, match="variance vanished at n=4"):
+        compute_c(engine, growth, 10)
 
 
 def test_compute_c_rejects_empty_window(fib):
@@ -259,6 +293,19 @@ def test_verify_bound_violated_carries_report(monkeypatch):
     assert exc.report.violations[0] == exc.n
 
 
+def test_verify_passes_a_row_with_zero_margin(monkeypatch, fib):
+    # c at the smallest ratio Var[K_n]/n makes Var[K_n] = c*n at its index,
+    # which passes: the bound is Var[K_n] >= c*n.
+    engine = SummandTable(fib)
+    c = min(engine.stats(n).variance / n for n in range(3, 41))
+    monkeypatch.setattr(
+        "plrs.theorem.compute_c", lambda *a, **k: ConstantChoice(c, "fake", ())
+    )
+    report = verify_variance_bound(engine, 40)
+    assert report.all_pass
+    assert any(row.margin == 0 for row in report.per_n)
+
+
 def test_verify_all_fixture_specs_pass():
     for coeffs in FIXTURE_COEFFS:
         report = verify_variance_bound(SummandTable(validate_spec(coeffs)), 80)
@@ -291,29 +338,16 @@ def test_gaussian_empty_list(fib):
 
 # -- internal consistency guard --------------------------------------------------------
 
-def test_y_mean_check_detects_corrupt_residuals(fib):
-    # Shifting every residual by the same constant would cancel out (the
-    # identity is affine-invariant), so corrupt a single entry: the one the
-    # mean is compared against.
-    growth = estimate_growth(SummandTable(fib), 40)
-    f = list(growth.f_values)
-    f[39] += 1  # f(40)
-    corrupt = GrowthEstimate(
-        spec=growth.spec,
-        n_max=growth.n_max,
-        precision_bits=growth.precision_bits,
-        a_est=growth.a_est,
-        b_est=growth.b_est,
-        f_values=tuple(f),
-        window=growth.window,
-        convergence_gap=growth.convergence_gap,
-    )
+def test_y_mean_check_detects_corrupt_removal_rows(monkeypatch, fib):
+    # The variance never reads s1, so only the mean check sees this.
+    engine = SummandTable(fib)
+    growth = estimate_growth(engine, 40)
+    real = engine.removal_rows
+
+    def corrupt(n):
+        (ell, (k, s1, s2), sums), *rest = real(n)
+        return ((ell, (k, s1 + 1, s2), sums), *rest)
+
+    monkeypatch.setattr(engine, "removal_rows", corrupt)
     with pytest.raises(PlrsError):
-        y_statistics(SummandTable(fib), 40, corrupt)
-    # A residual off by 1/3 leaves D*T_39*f(39) a non-integer (3 does not
-    # divide T_39 = H_38), which the mean check refuses by name.
-    f = list(growth.f_values)
-    f[38] += Fraction(1, 3)  # f(39)
-    corrupt = dataclasses.replace(growth, f_values=tuple(f))
-    with pytest.raises(PlrsError, match=r"not an integer at m=39;"):
-        y_statistics(SummandTable(fib), 40, corrupt)
+        y_statistics(engine, 40, growth)
