@@ -164,7 +164,8 @@ def y_statistics(
     for any a and b, exactly when the first removal identity holds: over
     the rows of :meth:`SummandTable.removal_rows`, ``sum_l k T_r = T_n``
     and ``sum_l (s1 T_r + k A_1(r)) = A_1(n)``.  Those integer checks run
-    first, and a failure raises; the mean is then read from the row at n.
+    first, and a failure raises; the mean is then read from the moment row
+    at n as ``E[K_n] - a*n - b``.
 
     The variance is the law of total variance, free of a and b; with
     ``P = prod_l T_r`` it is one fraction:
