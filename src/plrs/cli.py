@@ -209,7 +209,7 @@ def _csv(payload: Payload) -> str:
 
 def _render(fmt: str, payload: Payload) -> str:
     if fmt == "json":
-        return json.dumps(payload.data(), indent=payload.indent)
+        return json.dumps(payload.data())
     if fmt == "csv":
         return _csv(payload)
     if payload.text is not None:
@@ -218,13 +218,32 @@ def _render(fmt: str, payload: Payload) -> str:
 
 
 def _emit(cfg: RunConfig, payload: Payload) -> None:
-    text = _render(cfg.format, payload)
+    """Write the payload to ``--output`` or to stdout, where a final newline
+    is added if missing.  The payload is built before the file is opened,
+    so a failure leaves no file."""
+    if cfg.format == "json" and payload.indent is not None:
+        # The indented encoder is pure Python either way, so it streams at
+        # no cost and never holds the whole text; without an indent the
+        # one-shot C encoder is faster than streaming.
+        data = payload.data()
+
+        def write(fh):
+            json.dump(data, fh, indent=payload.indent)
+
+        ends_line = False  # the object ends with "}"
+    else:
+        text = _render(cfg.format, payload)
+
+        def write(fh):
+            fh.write(text)
+
+        ends_line = text.endswith("\n")
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        write(sys.stdout)
+        if not ends_line:
             sys.stdout.write("\n")
 
 

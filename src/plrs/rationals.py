@@ -14,7 +14,8 @@ __all__ = ["format_fraction", "parse_fraction", "decimal_str", "round_to_bits"]
 
 def format_fraction(x: Fraction) -> str:
     """Render ``x`` as ``"p/q"`` (``"p"`` when q == 1), exact."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -23,6 +23,15 @@ comparison are computed in exact rational arithmetic.  The only
 approximation error is the distance between the differenced estimate and
 the true limit slope, reported as ``convergence_gap``.
 
+The checks of the verify chain run on integers.  One private helper makes
+one pass over the removal rows at each index of the Y sweep: it checks the
+first removal identity and returns Var[Y_n] as an unreduced pair
+``(numerator, T_n^2 P)``, which is compared with ``a^2/(2S)`` by
+cross-multiplication.  Each row compares ``Var[K_n] >= c*n`` the same way
+on the raw moment sums.  A fraction is reduced only where a value is
+reported: the fields of each row, and ``TheoremReport.var_y`` on its first
+read.
+
 Deleting the second-to-last block Z_n (size t, length len(t)) maps the
 outcomes at index n that carry it onto the space at ``n - len(t)`` and
 lowers their summand counts by t.  This gives two exact identities that
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .ensemble import SummandTable
@@ -152,6 +162,37 @@ def _require_same_spec(engine: SummandTable, growth: GrowthEstimate) -> None:
         )
 
 
+def _y_variance(engine: SummandTable, n: int) -> tuple[int, int]:
+    """Var[Y_n] as an unreduced integer pair ``(num, T_n^2 P)``.
+
+    One pass over :meth:`SummandTable.removal_rows` checks the first
+    removal identity, ``sum_l k T_r = T_n`` and
+    ``sum_l (s1 T_r + k A_1(r)) = A_1(n)``, and raises on a mismatch.  The
+    same pass builds the law of total variance over ``P = prod_l T_r``:
+
+        Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}]
+        = ((T_n A_2(n) - A_1(n)^2) P
+           - T_n sum_l k (T_r A_2(r) - A_1(r)^2) P/T_r) / (T_n^2 P),
+
+    where the sum over l is kept over the running product of the T_r seen
+    so far, so no division is needed.
+    """
+    Tn, A1n, A2n = engine.stats(n).raw_sums[:3]
+    c0 = c1 = within = 0
+    P = 1
+    for _, (k, s1, _), (Tr, A1, A2) in engine.removal_rows(n):
+        c0 += k * Tr
+        c1 += s1 * Tr + k * A1
+        within = within * Tr + k * (Tr * A2 - A1 * A1) * P
+        P *= Tr
+    if (c0, c1) != (Tn, A1n):
+        raise PlrsError(
+            f"removal rows at n={n} do not reassemble T_n and A_1(n), so the "
+            "mean of the centered block statistic is not f(n)"
+        )
+    return (Tn * A2n - A1n * A1n) * P - Tn * within, Tn * Tn * P
+
+
 def y_statistics(
     engine: SummandTable, n: int, growth: GrowthEstimate
 ) -> tuple[Fraction, Fraction]:
@@ -161,51 +202,38 @@ def y_statistics(
     ``l = len(t)``, by its exact probability ``T_r / T_n`` (``r = n - l``,
     ``T_m = H_{m+1} - H_m``) and evaluates ``t + f(r) - a*l`` with
     ``f(m) = E[K_m] - a*m - b``.  As ``r + l = n``, its mean is ``f(n)``,
-    for any a and b, exactly when the first removal identity holds: over
-    the rows of :meth:`SummandTable.removal_rows`, ``sum_l k T_r = T_n``
-    and ``sum_l (s1 T_r + k A_1(r)) = A_1(n)``.  Those integer checks run
-    first, and a failure raises; the mean is then read from the moment row
-    at n as ``E[K_n] - a*n - b``.
-
-    The variance is the law of total variance, free of a and b; with
-    ``P = prod_l T_r`` it is one fraction:
-
-        Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}]
-        = ((T_n A_2(n) - A_1(n)^2) P
-           - T_n sum_l k (T_r A_2(r) - A_1(r)^2) P/T_r) / (T_n^2 P).
+    for any a and b, exactly when the first removal identity holds.  The
+    integer helper behind :func:`find_threshold_N` checks that identity on
+    the removal rows (a failure raises) and returns the variance, free of
+    a and b, as an unreduced integer pair; this function reads the mean
+    from the moment row at n as ``E[K_n] - a*n - b`` and reduces the
+    variance to one fraction.
     """
     _require_same_spec(engine, growth)
-    Tn, A1n, A2n = engine.stats(n).raw_sums[:3]
-    if _removal_sums(engine, n)[:2] != (Tn, A1n):
-        raise PlrsError(
-            f"removal rows at n={n} do not reassemble T_n and A_1(n), so the "
-            "mean of the centered block statistic is not f(n)"
-        )
-    rows = engine.removal_rows(n)
-    P = math.prod(Tr for _, _, (Tr, _, _) in rows)
-    within = sum(
-        k * (Tr * A2 - A1 * A1) * (P // Tr) for _, (k, _, _), (Tr, A1, A2) in rows
-    )
-    num = (Tn * A2n - A1n * A1n) * P - Tn * within
-    return engine.mean(n) - growth.a_est * n - growth.b_est, Fraction(num, Tn * Tn * P)
+    num, den = _y_variance(engine, n)
+    return engine.mean(n) - growth.a_est * n - growth.b_est, Fraction(num, den)
 
 
 def _threshold(
     engine: SummandTable, growth: GrowthEstimate, n_max: int
-) -> tuple[dict[int, Fraction], Fraction, int]:
-    """The Y sweep over ``2L < n <= n_max``, the bound a^2/(2S) and N."""
+) -> tuple[dict[int, tuple[int, int]], Fraction, int]:
+    """The Y sweep over ``2L < n <= n_max``, the bound a^2/(2S) and N.
+
+    Each Var[Y_n] stays an unreduced pair ``(num, den)``.  With
+    ``a_est = alpha/D``, index n fails when ``num 2S D^2 <= alpha^2 den``.
+    """
     _require_same_spec(engine, growth)
-    L = engine.spec.length
-    bound = growth.a_est**2 / (2 * engine.spec.size)
-    variances = {
-        n: y_statistics(engine, n, growth)[1] for n in range(2 * L + 1, n_max + 1)
-    }
-    failures = [n for n, v in variances.items() if v <= bound]
+    L, S = engine.spec.length, engine.spec.size
+    alpha, D = growth.a_est.numerator, growth.a_est.denominator
+    scale, top = 2 * S * D * D, alpha * alpha
+    pairs = {n: _y_variance(engine, n) for n in range(2 * L + 1, n_max + 1)}
+    failures = [n for n, (num, den) in pairs.items() if num * scale <= top * den]
     if failures and failures[-1] == n_max:
         raise NoThresholdInRange(
             f"Var[Y] <= a^2/(2S) still at n_max={n_max}; nothing verified beyond it"
         )
-    return variances, bound, failures[-1] if failures else 2 * L + 1
+    bound = growth.a_est**2 / (2 * S)
+    return pairs, bound, failures[-1] if failures else 2 * L + 1
 
 
 def find_threshold_N(engine: SummandTable, growth: GrowthEstimate, n_max: int) -> int:
@@ -352,8 +380,9 @@ class TheoremReport:
     ``b_est`` and ``convergence_gap`` on ``growth``; the constant c, the
     candidate it came from and every candidate on ``choice`` (``value``,
     ``source``, ``candidates``).  ``threshold_N``, ``y_bound`` (a^2/(2S)),
-    ``var_y`` (Var[Y_n] over the sweep), ``slope_C_est``, the per-index
-    rows and the Gaussian rows are the report's own.
+    ``y_pairs`` (Var[Y_n] over the sweep as unreduced integer pairs),
+    ``slope_C_est``, the per-index rows and the Gaussian rows are the
+    report's own.  ``var_y`` reduces the pairs on first read.
     """
 
     spec: RecurrenceSpec
@@ -361,11 +390,16 @@ class TheoremReport:
     growth: GrowthEstimate
     threshold_N: int
     y_bound: Fraction  # a^2 / (2S)
-    var_y: dict[int, Fraction]
+    y_pairs: dict[int, tuple[int, int]]
     choice: ConstantChoice
     slope_C_est: Fraction
     per_n: tuple[PerIndexVerdict, ...]
     gaussian: tuple[GaussianRow, ...]
+
+    @cached_property
+    def var_y(self) -> dict[int, Fraction]:
+        """Var[Y_n] over the sweep, n -> reduced fraction."""
+        return {n: Fraction(num, den) for n, (num, den) in self.y_pairs.items()}
 
     @property
     def all_pass(self) -> bool:
@@ -394,7 +428,7 @@ def verify_variance_bound(
     spec = engine.spec
     L = spec.length
     growth = estimate_growth(engine, n_max, precision_bits=precision_bits)
-    var_y, bound, N = _threshold(engine, growth, n_max)
+    y_pairs, bound, N = _threshold(engine, growth, n_max)
     if n_max < N + 10:
         raise WindowTooSmall(
             f"n_max={n_max} leaves no room beyond the threshold N={N}; need N+10"
@@ -402,12 +436,18 @@ def verify_variance_bound(
     choice = compute_c(engine, growth, N)
     c = choice.value
 
+    # Each row from the raw sums at n: Var[K_n] = V/T^2 with V = T A_2 - A_1^2,
+    # checked as V c_q >= c_p n T^2; the row's fractions are reduced once each.
+    cp, cq = c.numerator, c.denominator
     per_n = []
     for n in range(L + 1, n_max + 1):
-        s = engine.stats(n)
-        cn = c * n
+        T, A1, A2 = engine.stats(n).raw_sums[:3]
+        V, T2 = T * A2 - A1 * A1, T * T
+        variance, cn = Fraction(V, T2), c * n
         per_n.append(
-            PerIndexVerdict(n, s.mean, s.variance, cn, s.variance - cn, s.variance >= cn)
+            PerIndexVerdict(
+                n, Fraction(A1, T), variance, cn, variance - cn, V * cq >= cp * n * T2
+            )
         )
 
     last_diff = engine.stats(n_max).variance - engine.stats(n_max - 1).variance
@@ -428,7 +468,7 @@ def verify_variance_bound(
         growth=growth,
         threshold_N=N,
         y_bound=bound,
-        var_y=var_y,
+        y_pairs=y_pairs,
         choice=choice,
         slope_C_est=slope_C_est,
         per_n=tuple(per_n),

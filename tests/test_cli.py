@@ -809,6 +809,31 @@ def test_payload_bytes_unchanged(command):
     assert command_digests(command) == DIGESTS[command]
 
 
+# sha256 prefixes of `--format json verify --n-max 400`, recorded before the
+# verify chain moved from Fraction comparisons to integer cross-multiplication.
+# At this size the moment sums span many machine words.
+VERIFY_400_DIGESTS = {
+    "1,1": "e10e05ae4d3400f1",
+    "2,2,0,2": "4bfbba26550320a6",
+    "1,2": "9b90cb6f659ed0c6",
+    "3,0,1": "460eaceb33f1899f",
+}
+
+
+@pytest.mark.parametrize("coeffs", list(VERIFY_400_DIGESTS))
+def test_verify_json_bytes_at_n_max_400(tmp_path, capsys, coeffs):
+    args = ("--coeffs", coeffs, "--format", "json")
+    code, out, _ = run(capsys, *args, "verify", "--n-max", "400")
+    assert code == 0 and _digest(out) == VERIFY_400_DIGESTS[coeffs]
+    # the streamed file holds the same bytes, without the final newline
+    target = tmp_path / "verify.json"
+    code, file_out, _ = run(
+        capsys, *args, "--output", str(target), "verify", "--n-max", "400"
+    )
+    assert code == 0 and file_out == ""
+    assert target.read_text(encoding="utf-8") + "\n" == out
+
+
 def test_output_file_bytes_unchanged(tmp_path, capsys):
     target = tmp_path / "zdist.json"
     code, out, _ = run(

@@ -100,6 +100,32 @@ def _reference_y_statistics(engine, n, growth):
     return ey, ey2 - ey * ey
 
 
+def _reference_verify(engine, growth, var_y):
+    """The threshold and the rows of the verify chain in Fraction arithmetic,
+    from ``var_y`` over ``2L < n <= n_max``: the bound a^2/(2S), N, c, and
+    each row's mean, variance, c*n, margin and verdict, with the variance
+    as E[K^2] - E[K]^2."""
+    L, S = engine.spec.length, engine.spec.size
+    n_max = max(var_y)
+    y_bound = growth.a_est**2 / (2 * S)
+    failures = [n for n, v in var_y.items() if v <= y_bound]
+    N = failures[-1] if failures else 2 * L + 1
+    moments = {}
+    for n in range(L + 1, n_max + 1):
+        T, A1, A2 = engine.stats(n).raw_sums[:3]
+        mean = Fraction(A1, T)
+        moments[n] = mean, Fraction(A2, T) - mean * mean
+    c = min(
+        [moments[n][1] / n for n in range(L + 1, N + 1)]
+        + [growth.a_est**2 / (2 * S * L)]
+    )
+    rows = [
+        (n, mean, var, c * n, var - c * n, var >= c * n)
+        for n, (mean, var) in moments.items()
+    ]
+    return y_bound, N, rows
+
+
 @given(RANDOM_SPECS)
 def test_integer_sweep_matches_fraction_reference(coeffs):
     spec = validate_spec(coeffs)
@@ -111,10 +137,19 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
     ) / (hi - lo + 1)
     assert growth.b_est == round_to_bits(b_fold, growth.precision_bits)
     # past the estimate's window too: the residual is read at any index
+    reference = {}
     for n in range(2 * spec.length + 1, 71):
-        assert y_statistics(engine, n, growth) == _reference_y_statistics(
-            engine, n, growth
-        )
+        reference[n] = _reference_y_statistics(engine, n, growth)
+        assert y_statistics(engine, n, growth) == reference[n]
+    # the whole chain: integer sweep and rows against Fraction arithmetic
+    report = verify_variance_bound(engine, 60)
+    assert report.growth == growth
+    var_y = {n: var for n, (_, var) in reference.items() if n <= 60}
+    y_bound, N, rows = _reference_verify(engine, growth, var_y)
+    assert (report.var_y, report.y_bound, report.threshold_N) == (var_y, y_bound, N)
+    assert [
+        (r.n, r.mean, r.variance, r.bound, r.margin, r.passed) for r in report.per_n
+    ] == rows
 
 
 def test_find_threshold_small(fixture_spec):
@@ -135,9 +170,7 @@ def test_y_bound_values():
 
 def test_find_threshold_no_threshold(monkeypatch, fib):
     growth = estimate_growth(SummandTable(fib), 40)
-    monkeypatch.setattr(
-        "plrs.theorem.y_statistics", lambda *a, **k: (Fraction(0), Fraction(0))
-    )
+    monkeypatch.setattr("plrs.theorem._y_variance", lambda *a, **k: (0, 1))
     with pytest.raises(NoThresholdInRange):
         find_threshold_N(SummandTable(fib), growth, 40)
 
@@ -145,24 +178,26 @@ def test_find_threshold_no_threshold(monkeypatch, fib):
 def test_find_threshold_takes_the_last_failure_and_counts_equality(monkeypatch, fib):
     # Var[Y_n] <= bound fails an index, equality included, and N is the last
     # failing index: 9 fails below the bound, 17 at it, every other passes.
+    # The sweep's pairs are unreduced, so the forced ones are too.
     growth = estimate_growth(SummandTable(fib), 40)
     bound = growth.a_est**2 / (2 * fib.size)
-    variances = {9: bound / 2, 17: bound}
+    p, q = bound.numerator, bound.denominator
+    variances = {9: (p, 2 * q), 17: (3 * p, 3 * q)}  # bound / 2 and bound
     monkeypatch.setattr(
-        "plrs.theorem.y_statistics",
-        lambda engine, n, growth: (Fraction(0), variances.get(n, bound + 1)),
+        "plrs.theorem._y_variance",
+        lambda engine, n: variances.get(n, (p + q, q)),  # bound + 1
     )
     assert find_threshold_N(SummandTable(fib), growth, 40) == 17
 
 
 def test_verify_needs_ten_indices_beyond_the_threshold(monkeypatch, fib):
-    real = theorem.y_statistics
+    real = theorem._y_variance
 
-    def y_fails_at_20(engine, n, growth):
-        ey, var_y = real(engine, n, growth)
-        return ey, Fraction(0) if n == 20 else var_y
+    def y_fails_at_20(engine, n):
+        pair = real(engine, n)
+        return (0, 1) if n == 20 else pair
 
-    monkeypatch.setattr("plrs.theorem.y_statistics", y_fails_at_20)
+    monkeypatch.setattr("plrs.theorem._y_variance", y_fails_at_20)
     with pytest.raises(WindowTooSmall):
         verify_variance_bound(SummandTable(fib), 29)
     assert verify_variance_bound(SummandTable(fib), 30).threshold_N == 20
@@ -337,6 +372,34 @@ def test_gaussian_empty_list(fib):
 
 
 # -- internal consistency guard --------------------------------------------------------
+
+def test_verify_reads_the_removal_rows_once_per_index(monkeypatch, fib):
+    engine = SummandTable(fib)
+    real = engine.removal_rows
+    calls = {}
+
+    def counted(n):
+        calls[n] = calls.get(n, 0) + 1
+        return real(n)
+
+    monkeypatch.setattr(engine, "removal_rows", counted)
+    verify_variance_bound(engine, 40)
+    assert calls == {n: 1 for n in range(2 * fib.length + 1, 41)}
+
+
+def test_verify_stops_on_corrupt_removal_rows(monkeypatch, fib):
+    # The s1 + 1 corruption below, met by the sweep's own pass over the rows.
+    engine = SummandTable(fib)
+    real = engine.removal_rows
+
+    def corrupt(n):
+        (ell, (k, s1, s2), sums), *rest = real(n)
+        return ((ell, (k, s1 + 1, s2), sums), *rest)
+
+    monkeypatch.setattr(engine, "removal_rows", corrupt)
+    with pytest.raises(PlrsError, match="removal rows at n=5 "):
+        verify_variance_bound(engine, 40)
+
 
 def test_y_mean_check_detects_corrupt_removal_rows(monkeypatch, fib):
     # The variance never reads s1, so only the mean check sees this.
