@@ -417,7 +417,7 @@ def verify_variance_bound(
 
     Estimates growth, sweeps the centered block statistic to find the
     threshold N, chooses c, and checks ``Var[K_n] >= c*n`` for every
-    ``L < n <= n_max`` with exact rational comparisons.  Also estimates
+    ``L < n <= n_max`` by integer cross-multiplication.  Also estimates
     the variance slope from the last first difference and requires it not
     to undercut c beyond the differencing noise.
 
