@@ -535,7 +535,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
     except BoundViolated as exc:
         report, code = exc.report, 1
         print(f"variance bound FAILED at n = {exc.n}", file=sys.stderr)
-    spec, growth, choice = report.spec, report.growth, report.choice
+    spec, growth, choice = report.growth.spec, report.growth, report.choice
     c = choice.value
     header = "n,mean,variance,c_times_n,margin,pass"
 

@@ -301,13 +301,15 @@ class SummandTable:
                      sum_{i <= j} C(j, i) t^(j-i) A_i(r - len(t))
                  + s_r^j   (type-1 block of size s_r, only if r < L)
 
-    :meth:`stats` subtracts the rows of n - 1 from those of n and turns the
-    difference into exact moments.  Each row holds O(n)-bit integers, so
-    statistics up to n cost O(n^2) bits.  The tail polynomials themselves
-    are built only when :meth:`polynomial` asks for a histogram, and only
-    the last L of them are kept: no block is longer than L, so ``Q_r``
-    reads only ``Q_{r-1}, ..., Q_{r-L}``.  That is O(n^2) bits too; a
-    request below the kept ones builds them again from ``Q_0``.
+    :meth:`stats` subtracts the rows of n - 1 from those of n on every call
+    and returns the difference as a view that turns it into exact moments;
+    the rows are the only statistics the table stores.  Each row holds
+    O(n)-bit integers, so statistics up to n cost O(n^2) bits.  The tail
+    polynomials themselves are built only when :meth:`polynomial` asks for
+    a histogram, and only the last L of them are kept: no block is longer
+    than L, so ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-L}``.  That is
+    O(n^2) bits too; a request below the kept ones builds them again from
+    ``Q_0``.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -318,7 +320,6 @@ class SummandTable:
         # Q_r for the last L tail lengths r up to self._top, oldest first
         self._tails: list[list[int]] = []
         self._top = -1
-        self._stats: dict[int, EnsembleStats] = {}
 
     def extend(self, n: int) -> None:
         """Ensure the moment rows of tails up to length ``n`` exist."""
@@ -392,16 +393,13 @@ class SummandTable:
         )
 
     def stats(self, n: int) -> EnsembleStats:
-        """Exact moments at index ``n``, cached."""
-        got = self._stats.get(n)
-        if got is None:
-            if n < 1:
-                raise ValueError("n must be >= 1")
-            self.extend(n)
-            rows = self._moments
-            sums = tuple(a - b for a, b in zip(rows[n], rows[n - 1]))
-            got = self._stats[n] = EnsembleStats(n, sums)
-        return got
+        """Exact moments at index ``n``, a view of the moment rows built on
+        each call."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.extend(n)
+        rows = self._moments
+        return EnsembleStats(n, tuple(a - b for a, b in zip(rows[n], rows[n - 1])))
 
     def mean(self, n: int) -> Fraction:
         return self.stats(n).mean

@@ -1,15 +1,15 @@
 """Helpers for exact rationals: text forms and dyadic rounding.
 
 JSON and CSV output never uses floats for exact quantities.  A rational is
-serialized as the string ``"p/q"`` (or ``"p"`` when the denominator is 1) and
-parsed back with :func:`parse_fraction`.  For human-readable reports,
+serialized as the string ``"p/q"`` (or ``"p"`` when the denominator is 1),
+which ``fractions.Fraction(text)`` parses back.  For human-readable reports,
 :func:`decimal_str` renders a rational in decimal with a fixed number of
 significant digits using integer arithmetic only.
 """
 
 from fractions import Fraction
 
-__all__ = ["format_fraction", "parse_fraction", "decimal_str", "round_to_bits"]
+__all__ = ["format_fraction", "decimal_str", "round_to_bits"]
 
 
 def format_fraction(x: Fraction) -> str:
@@ -19,12 +19,6 @@ def format_fraction(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Inverse of :func:`format_fraction`."""
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:

@@ -29,7 +29,7 @@ first removal identity and returns Var[Y_n] as an unreduced pair
 ``(numerator, T_n^2 P)``, which is compared with ``a^2/(2S)`` by
 cross-multiplication.  Each row compares ``Var[K_n] >= c*n`` the same way
 on the raw moment sums.  A fraction is reduced only where a value is
-reported: the fields of each row, and ``TheoremReport.var_y`` on its first
+reported: the fields of each row, and ``TheoremReport.var_y`` on each
 read.
 
 Deleting the second-to-last block Z_n (size t, length len(t)) maps the
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .ensemble import SummandTable
@@ -131,15 +130,13 @@ def estimate_growth(
     if n_max < 4 * L + 8:
         raise WindowTooSmall(f"need n_max >= 4L + 8 = {4 * L + 8}, got {n_max}")
 
-    a_exact = engine.mean(n_max) - engine.mean(n_max - 1)
-    prev_diff = engine.mean(n_max - 1) - engine.mean(n_max - 2)
-    gap = abs(a_exact - prev_diff)
-    a_est = round_to_bits(a_exact, precision_bits)
-
-    width = max(2, n_max // 4)
+    width = n_max // 4  # >= 3 as n_max >= 12: the window holds the last three means
     window = (n_max - width + 1, n_max)
     index_sum = (window[0] + window[1]) * width // 2
     means = [engine.mean(n) for n in range(window[0], n_max + 1)]
+    a_exact = means[-1] - means[-2]
+    gap = abs(a_exact - (means[-2] - means[-3]))
+    a_est = round_to_bits(a_exact, precision_bits)
     b_exact = (_pairwise_sum(means) - a_est * index_sum) / width
     b_est = round_to_bits(b_exact, precision_bits)
     return GrowthEstimate(engine.spec, precision_bits, a_est, b_est, window, gap)
@@ -375,18 +372,17 @@ def second_moment_identity(engine: SummandTable, n: int) -> tuple[Fraction, Frac
 class TheoremReport:
     """Everything the variance-bound verification produced.
 
-    Each result of the chain is held once, where it was computed: ``size``
-    and ``length`` are on ``spec``; ``precision_bits``, ``a_est``,
-    ``b_est`` and ``convergence_gap`` on ``growth``; the constant c, the
-    candidate it came from and every candidate on ``choice`` (``value``,
-    ``source``, ``candidates``).  ``threshold_N``, ``y_bound`` (a^2/(2S)),
-    ``y_pairs`` (Var[Y_n] over the sweep as unreduced integer pairs),
-    ``slope_C_est``, the per-index rows and the Gaussian rows are the
-    report's own.  ``var_y`` reduces the pairs on first read.
+    Each result of the chain is held once, where it was computed, in eight
+    fields: the spec, ``precision_bits``, ``a_est``, ``b_est``,
+    ``convergence_gap`` and the window (whose end is n_max) on ``growth``;
+    the constant c, the candidate it came from and every candidate on
+    ``choice`` (``value``, ``source``, ``candidates``).  ``threshold_N``,
+    ``y_bound`` (a^2/(2S)), ``y_pairs`` (Var[Y_n] over the sweep as
+    unreduced integer pairs), ``slope_C_est``, the per-index rows and the
+    Gaussian rows are the report's own.  ``var_y`` reduces the pairs on
+    each read and keeps nothing.
     """
 
-    spec: RecurrenceSpec
-    n_max: int
     growth: GrowthEstimate
     threshold_N: int
     y_bound: Fraction  # a^2 / (2S)
@@ -396,7 +392,7 @@ class TheoremReport:
     per_n: tuple[PerIndexVerdict, ...]
     gaussian: tuple[GaussianRow, ...]
 
-    @cached_property
+    @property
     def var_y(self) -> dict[int, Fraction]:
         """Var[Y_n] over the sweep, n -> reduced fraction."""
         return {n: Fraction(num, den) for n, (num, den) in self.y_pairs.items()}
@@ -425,8 +421,7 @@ def verify_variance_bound(
     report attached as ``exc.report``) if any index fails, which cannot
     happen for a valid spec.
     """
-    spec = engine.spec
-    L = spec.length
+    L = engine.spec.length
     growth = estimate_growth(engine, n_max, precision_bits=precision_bits)
     y_pairs, bound, N = _threshold(engine, growth, n_max)
     if n_max < N + 10:
@@ -450,8 +445,8 @@ def verify_variance_bound(
             )
         )
 
-    last_diff = engine.stats(n_max).variance - engine.stats(n_max - 1).variance
-    prev_diff = engine.stats(n_max - 1).variance - engine.stats(n_max - 2).variance
+    v2, v1, v0 = (row.variance for row in per_n[-3:])
+    last_diff, prev_diff = v0 - v1, v1 - v2
     slope_C_est = round_to_bits(last_diff, precision_bits) if last_diff else Fraction(0)
     slope_tolerance = 10 * abs(last_diff - prev_diff) + Fraction(
         1, 2 ** max(precision_bits - 8, 1)
@@ -463,8 +458,6 @@ def verify_variance_bound(
     gaussian = gaussian_diagnostics(engine, gaussian_ns)
 
     report = TheoremReport(
-        spec=spec,
-        n_max=n_max,
         growth=growth,
         threshold_N=N,
         y_bound=bound,

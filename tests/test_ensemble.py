@@ -267,6 +267,21 @@ def test_stats_memory_stays_small_at_large_n(h2202):
     assert s.variance > 0
 
 
+def test_stats_are_views_that_keep_nothing(h2202):
+    # A per-index cache of the views kept about 339 KB here; the moment rows
+    # are the only store, so reading every view leaves next to nothing.
+    engine = SummandTable(h2202)
+    engine.extend(400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 401):
+            engine.stats(n).variance
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 2**10
+
 def test_polynomial_any_order_matches_a_fresh_table(fixture_spec):
     # Only the last L tail polynomials are kept; ascending, repeated and
     # descending requests on one table must still match a fresh table.

@@ -28,7 +28,7 @@ PUBLIC = {
     "gaussian_diagnostics", "first_moment_identity",
     "second_moment_identity",
     # rationals
-    "format_fraction", "parse_fraction", "decimal_str", "round_to_bits",
+    "format_fraction", "decimal_str", "round_to_bits",
     # errors
     "PlrsError", "EmptyCoefficients", "LeadingCoefficientZero",
     "TrailingCoefficientZero", "NonIntegerCoefficient", "NegativeCoefficient",

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from plrs import decimal_str, format_fraction, parse_fraction, round_to_bits
+from plrs import decimal_str, format_fraction, round_to_bits
 
 
 def test_format_and_parse_round_trip():
     for q in [Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(10**40, 3**30)]:
-        assert parse_fraction(format_fraction(q)) == q
+        assert Fraction(format_fraction(q)) == q
 
 
 def test_format_integer_has_no_slash():
@@ -71,8 +71,8 @@ def unlimited_int_digits():
 def test_round_trips_past_the_int_digit_limit(unlimited_int_digits):
     q = Fraction(7**5917 + 1, 3**10480)  # about 5,000 digits on each side
     assert len(str(q.numerator)) > 5000 and len(str(q.denominator)) > 5000
-    assert parse_fraction(format_fraction(q)) == q
-    assert parse_fraction(format_fraction(-q)) == -q
+    assert Fraction(format_fraction(q)) == q
+    assert Fraction(format_fraction(-q)) == -q
     x = Fraction(10**5000 + 1, 3)
     text = decimal_str(x, 3)
     assert text == "3" * 5000 + ".667"

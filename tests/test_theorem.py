@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -340,6 +341,42 @@ def test_verify_passes_a_row_with_zero_margin(monkeypatch, fib):
     assert report.all_pass
     assert any(row.margin == 0 for row in report.per_n)
 
+
+@pytest.mark.parametrize("factor, undercut", [(20, True), (5, False)])
+def test_verify_slope_check_allows_ten_times_the_difference_noise(
+    monkeypatch, h2202, factor, undercut
+):
+    # c sits factor*|d2| above the last variance difference d1, where d2 is
+    # the second difference (about 2.8e-21 here, far above the 2^-120 floor).
+    # Every row passes (min Var[K_n]/n = 0.40301 > d1 = 0.40264), so only the
+    # slope check decides, and its tolerance is 10*|d2|.
+    engine = SummandTable(h2202)
+    v2, v1, v0 = (engine.stats(n).variance for n in (58, 59, 60))
+    d1 = v0 - v1
+    c = d1 + factor * abs(d1 - (v1 - v2))
+    monkeypatch.setattr(
+        "plrs.theorem.compute_c", lambda *a, **k: ConstantChoice(c, "fake", ())
+    )
+    if undercut:
+        with pytest.raises(PlrsError, match="undercuts"):
+            verify_variance_bound(engine, 60)
+    else:
+        assert verify_variance_bound(engine, 60).all_pass
+
+
+def test_var_y_is_reduced_on_each_read_and_not_kept(h2202):
+    # Caching the reduced fractions beside the pairs kept about 184 KB here.
+    report = verify_variance_bound(SummandTable(h2202), 400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        var_y = report.var_y
+        assert var_y == {n: Fraction(*pair) for n, pair in report.y_pairs.items()}
+        del var_y
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 2**10
 
 def test_verify_all_fixture_specs_pass():
     for coeffs in FIXTURE_COEFFS:
