@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
+from operator import sub
 from typing import Iterator
 
 from .decomposition import Decomposition, _greedy, decompose
@@ -399,7 +400,7 @@ class SummandTable:
             raise ValueError("n must be >= 1")
         self.extend(n)
         rows = self._moments
-        return EnsembleStats(n, tuple(a - b for a, b in zip(rows[n], rows[n - 1])))
+        return EnsembleStats(n, tuple(map(sub, rows[n], rows[n - 1])))
 
     def mean(self, n: int) -> Fraction:
         return self.stats(n).mean
