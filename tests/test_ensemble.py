@@ -282,6 +282,7 @@ def test_stats_are_views_that_keep_nothing(h2202):
         tracemalloc.stop()
     assert grown < 64 * 2**10
 
+
 def test_polynomial_any_order_matches_a_fresh_table(fixture_spec):
     # Only the last L tail polynomials are kept; ascending, repeated and
     # descending requests on one table must still match a fresh table.

@@ -378,6 +378,7 @@ def test_var_y_is_reduced_on_each_read_and_not_kept(h2202):
         tracemalloc.stop()
     assert grown < 16 * 2**10
 
+
 def test_verify_all_fixture_specs_pass():
     for coeffs in FIXTURE_COEFFS:
         report = verify_variance_bound(SummandTable(validate_spec(coeffs)), 80)
