@@ -264,12 +264,17 @@ def _by_length(lengths: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
-def _shift_add(acc: list[int], src: list[int] | tuple[int, ...], t: int) -> None:
-    """acc += x^t * src, growing acc as needed."""
-    need = t + len(src)
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    acc[t:need] = [a + b for a, b in zip(acc[t:need], src)]
+# Bits a packed tail's coefficient slots widen by, a whole number of bytes.
+_SLOT_STEP = 64
+
+
+def _slots(packed: int, bits: int) -> list[bytes]:
+    """The little-endian bytes of each ``bits``-wide slot of a packed
+    polynomial, lowest degree first, up to its degree."""
+    width = bits // 8
+    size = -(-packed.bit_length() // bits) * width
+    data = packed.to_bytes(size, "little")
+    return [data[i : i + width] for i in range(0, size, width)]
 
 
 class SummandTable:
@@ -305,12 +310,30 @@ class SummandTable:
     :meth:`stats` subtracts the rows of n - 1 from those of n on every call
     and returns the difference as a view that turns it into exact moments;
     the rows are the only statistics the table stores.  Each row holds
-    O(n)-bit integers, so statistics up to n cost O(n^2) bits.  The tail
-    polynomials themselves are built only when :meth:`polynomial` asks for
-    a histogram, and only the last L of them are kept: no block is longer
-    than L, so ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-L}``.  That is
-    O(n^2) bits too; a request below the kept ones builds them again from
-    ``Q_0``.
+    O(n)-bit integers, so statistics up to n cost O(n^2) bits.
+
+    The tail polynomials themselves are built only when :meth:`polynomial`
+    asks for a histogram, and only the last L of them are kept: no block
+    is longer than L, so ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-L}``.  A
+    request below the kept ones builds them again from ``Q_0``.  Each kept
+    tail is one non-negative integer, ``Q_r(2^B)`` (Kronecker
+    substitution): coefficient k fills the B-bit slot k, so ``x^t Q``
+    is ``Q << t*B`` and the recurrence is one big-integer shift and add
+    per size:
+
+        Q_r = Q_{r-1} + sum over t >= 1 with len(t) <= r of
+                            Q_{r-len(t)} << t*B
+              + 1 << s_r*B   (only if r < L)
+
+    The sum over t >= 1 at n is ``P_n`` itself, which :meth:`polynomial`
+    unpacks slot by slot, with no subtraction.  All terms are
+    non-negative, so every coefficient and partial sum of ``Q_r`` is at
+    most the tail count ``Q_r(1) = H_{r+1}``.  The table keeps that count
+    next to each tail and widens B, in whole steps of ``_SLOT_STEP`` bits,
+    to its bit length, re-slotting the kept tails when it grows.  The kept
+    tails are O(n^2) bits still, but a fixed slot width spends the full B
+    bits on the thin outer coefficients too, up to about twice the bits
+    the coefficients themselves need.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -318,9 +341,13 @@ class SummandTable:
         self.catalog = block_catalog(spec)
         self._by_length = _by_length(self.catalog.length_table)
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
-        # Q_r for the last L tail lengths r up to self._top, oldest first
-        self._tails: list[list[int]] = []
+        # the positive sizes with their block lengths, lengths non-decreasing
+        self._shifts = tuple(enumerate(self.catalog.length_table))[1:]
+        # (Q_r(1), Q_r(2^B)) for the last L tail lengths r up to self._top,
+        # oldest first
+        self._tails: list[tuple[int, int]] = []
         self._top = -1
+        self._slot = _SLOT_STEP  # B
 
     def extend(self, n: int) -> None:
         """Ensure the moment rows of tails up to length ``n`` exist."""
@@ -339,32 +366,49 @@ class SummandTable:
                 acc = [a + size**j for j, a in enumerate(acc)]
             rows.append(tuple(acc))
 
-    def _histogram(self, r: int) -> list[int]:
-        """``Q_r``; the kept tails must end at ``Q_{r-1}``."""
-        lengths = self.catalog.length_table
+    def _tail_count(self, r: int) -> int:
+        """``Q_r(1)``, widening the slots to hold it; the kept tails must end
+        at ``Q_{r-1}``."""
         tails = self._tails
-        acc: list[int] = []
-        for t in range(self.spec.size):
-            ell = lengths[t]
+        count = sum(
+            power[0] * tails[-ell][0] for ell, power, _ in self._by_length if ell <= r
+        ) + (r < self.spec.length)
+        bits = count.bit_length()
+        if bits > self._slot:  # re-slot: pad each slot with zero bytes
+            width = -(-bits // _SLOT_STEP) * _SLOT_STEP
+            pad = bytes((width - self._slot) // 8)
+            tails[:] = [
+                (c, int.from_bytes(pad.join(_slots(q, self._slot)), "little"))
+                for c, q in tails
+            ]
+            self._slot = width
+        return count
+
+    def _outcomes(self, r: int, acc: int) -> int:
+        """``acc + P_r(2^B)``; the kept tails must end at ``Q_{r-1}``."""
+        B, tails = self._slot, self._tails
+        for t, ell in self._shifts:
             if ell > r:
                 break  # lengths are non-decreasing in t
-            _shift_add(acc, tails[-ell], t)
+            acc += tails[-ell][1] << t * B
         if r < self.spec.length:
-            _shift_add(acc, (1,), self.catalog.type1_blocks[r - 1].size)
+            acc += 1 << self.catalog.type1_blocks[r - 1].size * B
         return acc
 
     def _extend_tails(self, n: int) -> None:
-        """Make the kept tail polynomials end at ``Q_n``."""
+        """Make the kept tails end at ``Q_n``."""
         tails = self._tails
         if self._top > n:
             tails.clear()  # Q_n fell out of the kept tails: start again
             self._top = -1
+            self._slot = _SLOT_STEP
         if self._top < 0:
-            tails.append([1])
+            tails.append((1, 1))
             self._top = 0
         while self._top < n:
             self._top += 1
-            tails.append(self._histogram(self._top))
+            count = self._tail_count(self._top)
+            tails.append((count, self._outcomes(self._top, tails[-1][1])))
             if len(tails) > self.spec.length:
                 del tails[0]
 
@@ -373,10 +417,16 @@ class SummandTable:
         if n < 1:
             raise ValueError("n must be >= 1")
         self._extend_tails(n - 1)
-        acc = self._histogram(n)
-        for k, q in enumerate(self._tails[-1]):  # minus Q_{n-1}
-            acc[k] -= q
-        return SummandPolynomial(n, tuple(acc))
+        self._tail_count(n)  # P_n(1) <= Q_n(1): the slots must hold it
+        slots = _slots(self._outcomes(n, 0), self._slot)
+        return SummandPolynomial(n, tuple(int.from_bytes(s, "little") for s in slots))
+
+    def _low_sums(self, n: int) -> tuple[int, int, int]:
+        """``(T_n, A_1(n), A_2(n))``: the first three raw sums of index n,
+        the difference of the moment rows of n and n - 1, with no view."""
+        self.extend(n)
+        hi, lo = self._moments[n], self._moments[n - 1]
+        return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]
 
     def removal_rows(self, n: int) -> tuple:
         """The spaces left by removing the second-to-last block at index n.
@@ -389,7 +439,7 @@ class SummandTable:
         """
         _require_three_blocks(self.spec, n)
         return tuple(
-            (ell, power[:3], self.stats(n - ell).raw_sums[:3])
+            (ell, power[:3], self._low_sums(n - ell))
             for ell, power, _ in self._by_length
         )
 

@@ -174,7 +174,7 @@ def _y_variance(engine: SummandTable, n: int) -> tuple[int, int]:
     where the sum over l is kept over the running product of the T_r seen
     so far, so no division is needed.
     """
-    Tn, A1n, A2n = engine.stats(n).raw_sums[:3]
+    Tn, A1n, A2n = engine._low_sums(n)
     c0 = c1 = within = 0
     P = 1
     for _, (k, s1, _), (Tr, A1, A2) in engine.removal_rows(n):
@@ -436,7 +436,7 @@ def verify_variance_bound(
     cp, cq = c.numerator, c.denominator
     per_n = []
     for n in range(L + 1, n_max + 1):
-        T, A1, A2 = engine.stats(n).raw_sums[:3]
+        T, A1, A2 = engine._low_sums(n)
         V, T2 = T * A2 - A1 * A1, T * T
         variance, cn = Fraction(V, T2), c * n
         per_n.append(

@@ -834,6 +834,43 @@ def test_verify_json_bytes_at_n_max_400(tmp_path, capsys, coeffs):
     assert target.read_text(encoding="utf-8") + "\n" == out
 
 
+# sha256 prefixes of `--format F poly N`, recorded before the tail
+# polynomials were packed into one integer each.  Past N = 200 the
+# coefficients span many machine words and the slots widen several times.
+POLY_DIGESTS = {
+    ("1,1", 208, "table"): "a05dc7e8fb41c4a9",
+    ("1,1", 208, "csv"): "82b46e7d75c818c0",
+    ("1,1", 208, "json"): "3362910c7bab746f",
+    ("1,1", 616, "table"): "373f6529659570b7",
+    ("1,1", 616, "csv"): "cb2bfb3716474ec6",
+    ("1,1", 616, "json"): "834edf1acdbcd0c3",
+    ("2,2,0,2", 208, "table"): "9f15386a59889afd",
+    ("2,2,0,2", 208, "csv"): "24493ac9e9670656",
+    ("2,2,0,2", 208, "json"): "7646485aca76df60",
+    ("2,2,0,2", 616, "table"): "afbc4924bcf967ef",
+    ("2,2,0,2", 616, "csv"): "a47812d2735b8661",
+    ("2,2,0,2", 616, "json"): "5a402f6b8854b810",
+    ("1,2", 208, "table"): "28fe99f3aebda195",
+    ("1,2", 208, "csv"): "1791e60bea5f5dd5",
+    ("1,2", 208, "json"): "4d8a713f0fa13a0e",
+    ("1,2", 616, "table"): "a4b247b47e02e8f3",
+    ("1,2", 616, "csv"): "66c99cf2f1e0baa4",
+    ("1,2", 616, "json"): "ec974690aecc1032",
+    ("3,0,1", 208, "table"): "c7066f0d0a07e43a",
+    ("3,0,1", 208, "csv"): "4dbdbfd5ddd33079",
+    ("3,0,1", 208, "json"): "f9756aa4b4239cdf",
+    ("3,0,1", 616, "table"): "1f1e692a2a148c3f",
+    ("3,0,1", 616, "csv"): "15893f0d423f216b",
+    ("3,0,1", 616, "json"): "5502169a5afe88dc",
+}
+
+
+@pytest.mark.parametrize("coeffs, n, fmt", list(POLY_DIGESTS))
+def test_poly_bytes_at_large_n(capsys, coeffs, n, fmt):
+    code, out, _ = run(capsys, "--coeffs", coeffs, "--format", fmt, "poly", str(n))
+    assert code == 0 and _digest(out) == POLY_DIGESTS[coeffs, n, fmt]
+
+
 def test_output_file_bytes_unchanged(tmp_path, capsys):
     target = tmp_path / "zdist.json"
     code, out, _ = run(

@@ -15,6 +15,7 @@ from plrs import (
     SizeOutOfRange,
     SummandPolynomial,
     SummandTable,
+    block_catalog,
     conditional_mean_check,
     conditional_tally,
     decompose,
@@ -290,6 +291,80 @@ def test_polynomial_any_order_matches_a_fresh_table(fixture_spec):
     for n in (1, 2, 3, 9, 9, 30, 31, 29, 12, 3, 1, 30):
         assert engine.polynomial(n) == SummandTable(fixture_spec).polynomial(n), n
         assert len(engine._tails) <= fixture_spec.length
+
+
+def _reference_polynomials(spec, n_max):
+    """P_1, ..., P_{n_max} by the tail recurrence on coefficient lists, one
+    Python addition per size and per coefficient, each read as
+    Q_n - Q_{n-1}: the oracle of the packed table."""
+    catalog = block_catalog(spec)
+
+    def shift_add(acc, src, t):  # acc += x^t * src
+        need = t + len(src)
+        acc.extend([0] * (need - len(acc)))
+        acc[t:need] = [a + b for a, b in zip(acc[t:need], src)]
+
+    def tail(r, tails):  # Q_r from the last L tails, which end at Q_{r-1}
+        acc = []
+        for t, ell in enumerate(catalog.length_table):
+            if ell > r:
+                break
+            shift_add(acc, tails[-ell], t)
+        if r < spec.length:
+            shift_add(acc, [1], catalog.type1_blocks[r - 1].size)
+        return acc
+
+    tails = [[1]]
+    for n in range(1, n_max + 1):
+        q = tail(n, tails)
+        p = q[:]
+        for k, c in enumerate(tails[-1]):
+            p[k] -= c
+        yield SummandPolynomial(n, tuple(p))
+        tails = (tails + [q])[-spec.length :]
+
+
+def _reference_polynomial(spec, n):
+    """P_n by the list oracle."""
+    *_, poly = _reference_polynomials(spec, n)
+    return poly
+
+
+def test_reference_polynomial_goldens(fib):
+    assert _reference_polynomial(fib, 4).coeffs == (0, 1, 2)
+    assert _reference_polynomial(validate_spec((1, 2)), 5).coeffs == (0, 1, 4, 6, 4, 1)
+
+
+@given(RANDOM_SPECS)
+def test_packed_polynomial_matches_the_list_oracle(coeffs):
+    spec = validate_spec(coeffs)
+    engine = SummandTable(spec)
+    for n, expected in enumerate(_reference_polynomials(spec, 60), 1):
+        assert engine.polynomial(n) == expected, n
+
+
+def test_packed_polynomial_matches_the_list_oracle_at_large_n(fixture_spec):
+    engine = SummandTable(fixture_spec)
+    for expected in _reference_polynomials(fixture_spec, 616):
+        if expected.n in (208, 416, 616):
+            assert engine.polynomial(expected.n) == expected, expected.n
+
+
+def test_packed_polynomial_across_slot_widths(h2202):
+    # The slots widen with the tail count Q_r(1) = H_{r+1} kept next to each
+    # tail, and narrow again when a request below the kept tails starts over
+    # from Q_0.
+    engine = SummandTable(h2202)
+    table = SequenceTable(h2202)
+    widths = []
+    for n in (5, 40, 43, 302, 616, 200, 3):  # 43 and 302 cross a step
+        assert engine.polynomial(n) == _reference_polynomial(h2202, n), n
+        counts = [count for count, _ in engine._tails]
+        assert counts == [table.term(r + 1) for r in range(n - len(counts), n)]
+        assert table.term(n + 1).bit_length() <= engine._slot
+        widths.append(engine._slot)
+    assert len(set(widths)) >= 4, widths
+    assert widths[-2] < widths[-3]
 
 
 @pytest.mark.parametrize("coeffs", [(3, 0, 1), (2, 2, 0, 2)], ids=["3,0,1", "2,2,0,2"])
