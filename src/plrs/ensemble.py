@@ -268,13 +268,13 @@ def _by_length(lengths: tuple[int, ...]) -> tuple:
 _SLOT_STEP = 64
 
 
-def _slots(packed: int, bits: int) -> list[bytes]:
+def _slots(packed: int, bits: int) -> Iterator[bytes]:
     """The little-endian bytes of each ``bits``-wide slot of a packed
     polynomial, lowest degree first, up to its degree."""
     width = bits // 8
     size = -(-packed.bit_length() // bits) * width
     data = packed.to_bytes(size, "little")
-    return [data[i : i + width] for i in range(0, size, width)]
+    return (data[i : i + width] for i in range(0, size, width))
 
 
 class SummandTable:
@@ -341,8 +341,6 @@ class SummandTable:
         self.catalog = block_catalog(spec)
         self._by_length = _by_length(self.catalog.length_table)
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
-        # the positive sizes with their block lengths, lengths non-decreasing
-        self._shifts = tuple(enumerate(self.catalog.length_table))[1:]
         # (Q_r(1), Q_r(2^B)) for the last L tail lengths r up to self._top,
         # oldest first
         self._tails: list[tuple[int, int]] = []
@@ -386,8 +384,9 @@ class SummandTable:
 
     def _outcomes(self, r: int, acc: int) -> int:
         """``acc + P_r(2^B)``; the kept tails must end at ``Q_{r-1}``."""
-        B, tails = self._slot, self._tails
-        for t, ell in self._shifts:
+        B, tails, lengths = self._slot, self._tails, self.catalog.length_table
+        for t in range(1, self.spec.size):
+            ell = lengths[t]
             if ell > r:
                 break  # lengths are non-decreasing in t
             acc += tails[-ell][1] << t * B
