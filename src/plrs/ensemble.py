@@ -16,8 +16,8 @@ strings of length n with a positive leading coefficient, and there are
   of length n less the tails that start with the size-0 block ``[0]``,
   P_n = Q_n - Q_{n-1}.  Integer raw-moment sums of the tails give the
   exact statistics of every n, and a dynamic program over tail
-  polynomials, built only when a histogram is asked for and keeping only
-  the last L of them, gives the full summand-count distribution.
+  polynomials, run from Q_0 on each histogram request and stored nowhere,
+  gives the full summand-count distribution.
 
 Counts are exact integers, probabilities and moments exact rationals.
 """
@@ -313,13 +313,13 @@ class SummandTable:
     O(n)-bit integers, so statistics up to n cost O(n^2) bits.
 
     The tail polynomials themselves are built only when :meth:`polynomial`
-    asks for a histogram, and only the last L of them are kept: no block
-    is longer than L, so ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-L}``.  A
-    request below the kept ones builds them again from ``Q_0``.  Each kept
-    tail is one non-negative integer, ``Q_r(2^B)`` (Kronecker
-    substitution): coefficient k fills the B-bit slot k, so ``x^t Q``
-    is ``Q << t*B`` and the recurrence is one big-integer shift and add
-    per size:
+    asks for a histogram.  Each call builds ``Q_0, ..., Q_n`` in local
+    variables, holding only the last L (no block is longer than L, so
+    ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-L}``), and the table keeps
+    none of them.  Each tail is one non-negative integer, ``Q_r(2^B)``
+    (Kronecker substitution): coefficient k fills the B-bit slot k, so
+    ``x^t Q`` is ``Q << t*B`` and the recurrence is one big-integer shift
+    and add per size:
 
         Q_r = Q_{r-1} + sum over t >= 1 with len(t) <= r of
                             Q_{r-len(t)} << t*B
@@ -328,12 +328,12 @@ class SummandTable:
     The sum over t >= 1 at n is ``P_n`` itself, which :meth:`polynomial`
     unpacks slot by slot, with no subtraction.  All terms are
     non-negative, so every coefficient and partial sum of ``Q_r`` is at
-    most the tail count ``Q_r(1) = H_{r+1}``.  The table keeps that count
-    next to each tail and widens B, in whole steps of ``_SLOT_STEP`` bits,
-    to its bit length, re-slotting the kept tails when it grows.  The kept
-    tails are O(n^2) bits still, but a fixed slot width spends the full B
-    bits on the thin outer coefficients too, up to about twice the bits
-    the coefficients themselves need.
+    most the tail count ``Q_r(1) = H_{r+1}``.  Each step sums that count
+    from the counts held next to the tails it reads and widens B, in whole
+    steps of ``_SLOT_STEP`` bits, to its bit length, re-slotting the held
+    tails when it grows.  A call holds O(n^2) bits, but a fixed slot width
+    spends the full B bits on the thin outer coefficients too, up to about
+    twice the bits the coefficients themselves need.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -341,11 +341,6 @@ class SummandTable:
         self.catalog = block_catalog(spec)
         self._by_length = _by_length(self.catalog.length_table)
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
-        # (Q_r(1), Q_r(2^B)) for the last L tail lengths r up to self._top,
-        # oldest first
-        self._tails: list[tuple[int, int]] = []
-        self._top = -1
-        self._slot = _SLOT_STEP  # B
 
     def extend(self, n: int) -> None:
         """Ensure the moment rows of tails up to length ``n`` exist."""
@@ -364,60 +359,38 @@ class SummandTable:
                 acc = [a + size**j for j, a in enumerate(acc)]
             rows.append(tuple(acc))
 
-    def _tail_count(self, r: int) -> int:
-        """``Q_r(1)``, widening the slots to hold it; the kept tails must end
-        at ``Q_{r-1}``."""
-        tails = self._tails
-        count = sum(
-            power[0] * tails[-ell][0] for ell, power, _ in self._by_length if ell <= r
-        ) + (r < self.spec.length)
-        bits = count.bit_length()
-        if bits > self._slot:  # re-slot: pad each slot with zero bytes
-            width = -(-bits // _SLOT_STEP) * _SLOT_STEP
-            pad = bytes((width - self._slot) // 8)
-            tails[:] = [
-                (c, int.from_bytes(pad.join(_slots(q, self._slot)), "little"))
-                for c, q in tails
-            ]
-            self._slot = width
-        return count
-
-    def _outcomes(self, r: int, acc: int) -> int:
-        """``acc + P_r(2^B)``; the kept tails must end at ``Q_{r-1}``."""
-        B, tails, lengths = self._slot, self._tails, self.catalog.length_table
-        for t in range(1, self.spec.size):
-            ell = lengths[t]
-            if ell > r:
-                break  # lengths are non-decreasing in t
-            acc += tails[-ell][1] << t * B
-        if r < self.spec.length:
-            acc += 1 << self.catalog.type1_blocks[r - 1].size * B
-        return acc
-
-    def _extend_tails(self, n: int) -> None:
-        """Make the kept tails end at ``Q_n``."""
-        tails = self._tails
-        if self._top > n:
-            tails.clear()  # Q_n fell out of the kept tails: start again
-            self._top = -1
-            self._slot = _SLOT_STEP
-        if self._top < 0:
-            tails.append((1, 1))
-            self._top = 0
-        while self._top < n:
-            self._top += 1
-            count = self._tail_count(self._top)
-            tails.append((count, self._outcomes(self._top, tails[-1][1])))
-            if len(tails) > self.spec.length:
-                del tails[0]
-
     def polynomial(self, n: int) -> SummandPolynomial:
-        """The exact summand-count histogram of index ``n``."""
+        """The exact summand-count histogram of index ``n``, built from
+        ``Q_0`` on each call."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        self._extend_tails(n - 1)
-        self._tail_count(n)  # P_n(1) <= Q_n(1): the slots must hold it
-        slots = _slots(self._outcomes(n, 0), self._slot)
+        L, B = self.spec.length, _SLOT_STEP
+        lengths, by_length = self.catalog.length_table, self._by_length
+        tails = [(1, 1)]  # (Q_r(1), Q_r(2^B)) of the last L lengths r
+        for r in range(1, n + 1):
+            count = sum(
+                power[0] * tails[-ell][0] for ell, power, _ in by_length if ell <= r
+            ) + (r < L)
+            bits = count.bit_length()
+            if bits > B:  # re-slot: pad each slot with zero bytes
+                width = -(-bits // _SLOT_STEP) * _SLOT_STEP
+                pad = bytes((width - B) // 8)
+                tails = [
+                    (c, int.from_bytes(pad.join(_slots(q, B)), "little"))
+                    for c, q in tails
+                ]
+                B = width
+            acc = tails[-1][1] if r < n else 0  # at n the sum is P_n itself
+            for t in range(1, self.spec.size):
+                ell = lengths[t]
+                if ell > r:
+                    break  # lengths are non-decreasing in t
+                acc += tails[-ell][1] << t * B
+            if r < L:
+                acc += 1 << self.catalog.type1_blocks[r - 1].size * B
+            tails.append((count, acc))
+            del tails[:-L]
+        slots = _slots(acc, B)
         return SummandPolynomial(n, tuple(int.from_bytes(s, "little") for s in slots))
 
     def _low_sums(self, n: int) -> tuple[int, int, int]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import plrs.ensemble
 from plrs import (
     CapExceeded,
     EmptyDistribution,
@@ -235,22 +236,27 @@ def test_moment_engine_matches_polynomial_dp(coeffs):
         assert engine.second_raw_moment(n) == got.variance + got.mean**2
 
 
-def test_statistics_never_build_tail_polynomials(fixture_spec):
+def test_statistics_never_build_tail_polynomials(fixture_spec, monkeypatch):
+    asked = []
+
+    def refuse(self, n):
+        asked.append(n)
+        raise AssertionError(f"a statistic asked for the histogram of {n}")
+
+    monkeypatch.setattr(SummandTable, "polynomial", refuse)
     engine = SummandTable(fixture_spec)
     for n in range(1, 401):
         engine.stats(n)
         engine.second_raw_moment(n)
-    assert engine._tails == []
     engine = SummandTable(fixture_spec)
     verify_variance_bound(engine, 200)
-    assert engine._tails == []
     engine = SummandTable(fixture_spec)
     for n in range(2 * fixture_spec.length + 1, 201):
         first_moment_identity(engine, n)
         second_moment_identity(engine, n)
     growth = estimate_growth(engine, 200)
     find_threshold_N(engine, growth, 200)
-    assert engine._tails == []
+    assert asked == []
 
 
 def test_stats_memory_stays_small_at_large_n(h2202):
@@ -285,12 +291,11 @@ def test_stats_are_views_that_keep_nothing(h2202):
 
 
 def test_polynomial_any_order_matches_a_fresh_table(fixture_spec):
-    # Only the last L tail polynomials are kept; ascending, repeated and
-    # descending requests on one table must still match a fresh table.
+    # Ascending, repeated and descending requests on one table must match a
+    # fresh table.
     engine = SummandTable(fixture_spec)
     for n in (1, 2, 3, 9, 9, 30, 31, 29, 12, 3, 1, 30):
         assert engine.polynomial(n) == SummandTable(fixture_spec).polynomial(n), n
-        assert len(engine._tails) <= fixture_spec.length
 
 
 def _reference_polynomials(spec, n_max):
@@ -350,21 +355,72 @@ def test_packed_polynomial_matches_the_list_oracle_at_large_n(fixture_spec):
             assert engine.polynomial(expected.n) == expected, expected.n
 
 
-def test_packed_polynomial_across_slot_widths(h2202):
-    # The slots widen with the tail count Q_r(1) = H_{r+1} kept next to each
-    # tail, and narrow again when a request below the kept tails starts over
-    # from Q_0.
+def _spy_slot_widths(monkeypatch):
+    """Record the slot width of every ``_slots`` call; the last call of a
+    ``polynomial(n)`` is its unpack, at the final width."""
+    widths = []
+    slots = plrs.ensemble._slots
+
+    def spy(packed, bits):
+        widths.append(bits)
+        return slots(packed, bits)
+
+    monkeypatch.setattr(plrs.ensemble, "_slots", spy)
+    return widths
+
+
+def _least_slot_width(count):
+    """The least multiple of 64 bits that holds ``count``."""
+    return -(-count.bit_length() // 64) * 64
+
+
+def test_packed_polynomial_across_slot_widths(h2202, monkeypatch):
+    # The slots widen with the tail count Q_r(1) = H_{r+1}, and narrow again
+    # on a lower request, since every call starts over from Q_0.
+    spied = _spy_slot_widths(monkeypatch)
     engine = SummandTable(h2202)
     table = SequenceTable(h2202)
     widths = []
     for n in (5, 40, 43, 302, 616, 200, 3):  # 43 and 302 cross a step
         assert engine.polynomial(n) == _reference_polynomial(h2202, n), n
-        counts = [count for count, _ in engine._tails]
-        assert counts == [table.term(r + 1) for r in range(n - len(counts), n)]
-        assert table.term(n + 1).bit_length() <= engine._slot
-        widths.append(engine._slot)
+        assert spied[-1] == _least_slot_width(table.term(n + 1)), n
+        widths.append(spied[-1])
     assert len(set(widths)) >= 4, widths
     assert widths[-2] < widths[-3]
+
+
+@pytest.mark.parametrize(
+    "coeffs, n_max",
+    [((2,), 140), ((4,), 70), ((2, 2, 0, 2), 300), ((1, 1), 300), ((3, 0, 1), 300)],
+    ids=["2", "4", "2,2,0,2", "1,1", "3,0,1"],
+)
+def test_slot_boundaries(coeffs, n_max, monkeypatch):
+    # Every n up to past several 64-bit slot steps, each on a fresh table:
+    # the histogram matches the list oracle, and the final slot width is
+    # the least that holds H_{n+1}, widened at n itself too.
+    spec = validate_spec(coeffs)
+    spied = _spy_slot_widths(monkeypatch)
+    table = SequenceTable(spec)
+    for expected in _reference_polynomials(spec, n_max):
+        n = expected.n
+        assert SummandTable(spec).polynomial(n) == expected, n
+        assert spied[-1] == _least_slot_width(table.term(n + 1)), n
+
+
+def test_a_table_keeps_nothing_after_a_histogram(fixture_spec):
+    # Keeping the last L packed tails between calls retained 36-492 KB here.
+    engine = SummandTable(fixture_spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.polynomial(616)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 2**10
+    engine.stats(700)
+    engine.polynomial(5)
+    assert vars(engine).keys() == {"spec", "catalog", "_by_length", "_moments"}
 
 
 @pytest.mark.parametrize("coeffs", [(3, 0, 1), (2, 2, 0, 2)], ids=["3,0,1", "2,2,0,2"])
