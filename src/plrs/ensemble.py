@@ -331,9 +331,9 @@ class SummandTable:
     most the tail count ``Q_r(1) = H_{r+1}``.  Each step sums that count
     from the counts held next to the tails it reads and widens B, in whole
     steps of ``_SLOT_STEP`` bits, to its bit length, re-slotting the held
-    tails when it grows.  A call holds O(n^2) bits, but a fixed slot width
-    spends the full B bits on the thin outer coefficients too, up to about
-    twice the bits the coefficients themselves need.
+    tails one at a time when it grows.  A call holds O(n^2) bits, but a
+    fixed slot width spends the full B bits on the thin outer coefficients
+    too, up to about twice the bits the coefficients themselves need.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -375,10 +375,10 @@ class SummandTable:
             if bits > B:  # re-slot: pad each slot with zero bytes
                 width = -(-bits // _SLOT_STEP) * _SLOT_STEP
                 pad = bytes((width - B) // 8)
-                tails = [
-                    (c, int.from_bytes(pad.join(_slots(q, B)), "little"))
-                    for c, q in tails
-                ]
+                for i in range(len(tails)):  # one at a time, each old one freed
+                    c, q = tails[i]
+                    tails[i] = c, int.from_bytes(pad.join(_slots(q, B)), "little")
+                del q  # the last old tail
                 B = width
             acc = tails[-1][1] if r < n else 0  # at n the sum is P_n itself
             for t in range(1, self.spec.size):

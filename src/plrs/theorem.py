@@ -1,9 +1,9 @@
 """Growth constants and the linear variance lower bound.
 
 The mean summand count grows like ``a*n + b`` up to a vanishing residual
-``f(n)``.  This module estimates ``a`` and ``b`` by differencing the exact
-means, and then runs the chain that yields a positive constant ``c`` with
-``Var[K_n] >= c*n``:
+``f(n)``.  This module estimates ``a`` and ``b`` as the slope and the
+intercept of the secant through the last two exact means, and then runs
+the chain that yields a positive constant ``c`` with ``Var[K_n] >= c*n``:
 
 1. the centered statistic of the second-to-last block,
    ``Y_n = Z_n + f(n - L_n) - a*L_n``, has mean exactly ``f(n)`` and
@@ -98,10 +98,11 @@ class GrowthEstimate:
     """Differenced growth constants of the mean summand count.
 
     ``a_est`` and ``b_est`` are dyadic rationals carrying
-    ``precision_bits`` significant bits; ``b_est`` averages over ``window``,
-    which ends at the last index the estimate read.  ``convergence_gap`` is the
-    change between the last two slope differences, the natural scale for
-    how far ``a_est`` may sit from the true slope.
+    ``precision_bits`` significant bits: the slope and the intercept of
+    the secant through the last two exact means.  ``window`` spans the
+    three indices the estimate read and ends at n_max.  ``convergence_gap``
+    is the change between the last two slope differences, the natural
+    scale for how far ``a_est`` may sit from the true slope.
     """
 
     spec: RecurrenceSpec
@@ -117,39 +118,27 @@ def estimate_growth(
 ) -> GrowthEstimate:
     """Estimate the slope and intercept of the mean summand count.
 
-    The slope is the last first difference of the exact means,
-    ``E[K_{n_max}] - E[K_{n_max - 1}]``; the intercept averages
-    ``E[K_n] - a*n`` over the top quarter of the window, as
-    ``(sum of the means - a * sum of the n) / width``.  The means have
-    pairwise different denominators, so they are added in a balanced
-    pairwise tree, which keeps the operands of every addition of similar
-    size.  Both estimates are rounded to ``precision_bits`` bits, after
-    which every residual is exact.
+    Both come from the secant through the last two exact means: the slope
+    is ``E[K_{n_max}] - E[K_{n_max - 1}]`` and the intercept is
+    ``n_max E[K_{n_max - 1}] - (n_max - 1) E[K_{n_max}]``, the value at 0
+    of the same line, taken with the unrounded slope.  The residual of the
+    mean decays like theta^n for some theta < 1, so the slope sits within
+    O(theta^n) of a and the intercept within O(n theta^n) of b.  Each is
+    rounded once to ``precision_bits`` bits, after which every residual is
+    exact.
     """
     L = engine.spec.length
     if n_max < 4 * L + 8:
         raise WindowTooSmall(f"need n_max >= 4L + 8 = {4 * L + 8}, got {n_max}")
 
-    width = n_max // 4  # >= 3 as n_max >= 12: the window holds the last three means
-    window = (n_max - width + 1, n_max)
-    index_sum = (window[0] + window[1]) * width // 2
-    means = [engine.mean(n) for n in range(window[0], n_max + 1)]
-    a_exact = means[-1] - means[-2]
-    gap = abs(a_exact - (means[-2] - means[-3]))
+    m2, m1, m0 = (engine.mean(n) for n in range(n_max - 2, n_max + 1))
+    a_exact = m0 - m1
+    gap = abs(a_exact - (m1 - m2))
     a_est = round_to_bits(a_exact, precision_bits)
-    b_exact = (_pairwise_sum(means) - a_est * index_sum) / width
-    b_est = round_to_bits(b_exact, precision_bits)
-    return GrowthEstimate(engine.spec, precision_bits, a_est, b_est, window, gap)
-
-
-def _pairwise_sum(values: list[Fraction]) -> Fraction:
-    """Exact sum of a non-empty list, added in a balanced binary tree."""
-    while len(values) > 1:
-        paired = [a + b for a, b in zip(values[::2], values[1::2])]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0]
+    b_est = round_to_bits(n_max * m1 - (n_max - 1) * m0, precision_bits)
+    return GrowthEstimate(
+        engine.spec, precision_bits, a_est, b_est, (n_max - 2, n_max), gap
+    )
 
 
 def _require_same_spec(engine: SummandTable, growth: GrowthEstimate) -> None:

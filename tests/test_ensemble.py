@@ -424,6 +424,26 @@ def test_a_table_keeps_nothing_after_a_histogram(fixture_spec):
 
 
 @pytest.mark.parametrize("coeffs", [(3, 0, 1), (2, 2, 0, 2)], ids=["3,0,1", "2,2,0,2"])
+def test_reslot_holds_one_old_tail_at_a_time(coeffs):
+    # A call holds the last L packed tails, the one it builds and one tail's
+    # bytes while it unpacks or widens them: about L + 3 tails the size of
+    # P_n packed.  Widening every held tail while all the old ones were kept
+    # peaked at 2L + 1.6 to 2L + 1.9 of those here; one at a time, at
+    # L + 3.4 to L + 3.5.
+    spec = validate_spec(coeffs)
+    n = 616
+    tracemalloc.start()
+    try:
+        histogram = SummandTable(spec).polynomial(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width = _least_slot_width(SequenceTable(spec).term(n + 1))
+    packed = len(histogram.coeffs) * width // 8
+    assert peak < (spec.length + 4) * packed
+
+
+@pytest.mark.parametrize("coeffs", [(3, 0, 1), (2, 2, 0, 2)], ids=["3,0,1", "2,2,0,2"])
 def test_polynomial_memory_is_quadratic(coeffs):
     # Keeping every tail polynomial (O(n^3) bits) held 26-37 MB at n = 600
     # and 9-12 MB at n = 400 for these specs; the last L need a fraction.

@@ -65,6 +65,27 @@ def test_growth_window_too_small(fixture_spec):
         estimate_growth(SummandTable(fixture_spec), 4 * fixture_spec.length)
 
 
+def _secant_intercept(engine, n):
+    """The exact intercept of the line through the means at n - 1 and n."""
+    return n * engine.mean(n - 1) - (n - 1) * engine.mean(n)
+
+
+def test_growth_intercept_is_the_last_secant(fixture_spec):
+    # The residual of the mean decays geometrically, so the exact secant
+    # intercept four times further out stands in for b.  The average of
+    # E[K_n] - a*n over the top quarter of the window missed it by
+    # 2^-124.3 on 1,1 and 2^-121.9 on 2,2,0,2.
+    engine = SummandTable(fixture_spec)
+    growth = estimate_growth(engine, 400)
+    b_ref = _secant_intercept(engine, 1600)
+    assert abs(growth.b_est - b_ref) <= Fraction(1, 2**127)
+    if fixture_spec.coefficients in {(1, 2), (3, 0, 1)}:
+        # exactly linear means: every secant meets the axis at the same b
+        assert growth.b_est == round_to_bits(_secant_intercept(engine, 400), 128)
+        assert growth.b_est == b_ref
+    assert growth.window == (398, 400)
+
+
 # -- the centered block statistic -------------------------------------------------
 
 def test_y_mean_equals_residual(fixture_spec):
@@ -132,11 +153,8 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
     spec = validate_spec(coeffs)
     engine = SummandTable(spec)
     growth = estimate_growth(engine, 60)
-    lo, hi = growth.window
-    b_fold = sum(
-        (engine.mean(n) - growth.a_est * n for n in range(lo, hi + 1)), Fraction(0)
-    ) / (hi - lo + 1)
-    assert growth.b_est == round_to_bits(b_fold, growth.precision_bits)
+    b_secant = _secant_intercept(engine, 60)
+    assert growth.b_est == round_to_bits(b_secant, growth.precision_bits)
     # past the estimate's window too: the residual is read at any index
     reference = {}
     for n in range(2 * spec.length + 1, 71):
