@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from .decomposition import (
@@ -559,7 +560,10 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
             "convergence_gap_decimal": decimal_str(growth.convergence_gap, 40),
             "threshold_N": report.threshold_N,
             "y_bound": format_fraction(report.y_bound),
-            "var_y": {str(n): format_fraction(v) for n, v in sorted(report.var_y.items())},
+            "var_y": {
+                str(n): format_fraction(Fraction(num, den))
+                for n, (num, den) in sorted(report.y_pairs.items())
+            },
             "c": format_fraction(c),
             "c_decimal": decimal_str(c, 12),
             "c_source": choice.source,

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .recurrence import (
     Block,
-    BlockKind,
     RecurrenceSpec,
     SequenceTable,
     _first_non_integer,
@@ -327,16 +326,22 @@ def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
     """Split a decomposition into its unique block sequence.
 
     Every block but a closing type-1 one ends on a strict drop, so a block
-    is type 2 exactly when its last coefficient is below its ``c_i``.
+    is type 2 exactly when its last coefficient is below its ``c_i``.  Each
+    block is the catalog's own: a type-2 block is the one of its size, a
+    type-1 block the one of its length.
     """
     c = spec.coefficients
     a = d.coefficients
+    catalog = block_catalog(spec)
     blocks = []
     start = 0
     for length in _decomposition_lengths(spec, d):
         run = a[start:start + length]
-        kind = BlockKind.TYPE2 if run[-1] < c[length - 1] else BlockKind.TYPE1
-        blocks.append(Block(kind, run))
+        blocks.append(
+            catalog.type2_by_size[sum(run)]
+            if run[-1] < c[length - 1]
+            else catalog.type1_blocks[length - 1]
+        )
         start += length
     return BlockParse(tuple(blocks))
 

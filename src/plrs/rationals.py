@@ -21,6 +21,18 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _over(p: int, q: int, g: int) -> Fraction:
+    """``p/q`` in lowest terms, given ``q > 0`` and ``g = gcd(p, q)``.
+
+    Divides by ``g`` (unless it is 1) and runs no gcd of its own: the
+    caller knows the common factor, or knows it is 1.  Fraction keeps its
+    two terms in ``__slots__``, so the result is an ordinary Fraction.
+    """
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = (p, q) if g == 1 else (p // g, q // g)
+    return x
+
+
 def decimal_str(x: Fraction, digits: int = 12) -> str:
     """Decimal rendering of a rational with ``digits`` fractional digits.
 

@@ -23,13 +23,17 @@ comparison are computed in exact rational arithmetic.  The only
 approximation error is the distance between the differenced estimate and
 the true limit slope, reported as ``convergence_gap``.
 
-The checks of the verify chain run on integers.  One private helper makes
-one pass over the removal rows at each index of the Y sweep: it checks the
-first removal identity and returns Var[Y_n] as an unreduced pair
-``(numerator, T_n^2 P)``, which is compared with ``a^2/(2S)`` by
-cross-multiplication.  Each row compares ``Var[K_n] >= c*n`` the same way
-on the raw moment sums.  A fraction is reduced only where a value is
-reported: the fields of each row, and ``TheoremReport.var_y`` on each
+The checks of the verify chain run on integers.  Each call makes one pass
+over the moment rows up to n_max and builds, once per index m, the triple
+``(T_m, A_1(m), V_m)`` with ``V_m = T_m A_2(m) - A_1(m)^2``, so that
+``Var[K_m] = V_m / T_m^2``.  The Y sweep and the per-index rows read only
+that list.  At each index of the sweep one private helper, which
+:func:`y_statistics` shares, checks the first removal identity and returns
+Var[Y_n] as an unreduced pair ``(numerator, T_n^2 P)``; the pair is
+compared with ``a^2/(2S)`` by cross-multiplication.  Each row compares
+``Var[K_n] >= c*n`` the same way.  A fraction is reduced only where a
+value is reported: the fields of each row, with one gcd for the mean and
+at most one more for the variance, and ``TheoremReport.var_y`` on each
 read.
 
 Deleting the second-to-last block Z_n (size t, length len(t)) maps the
@@ -70,7 +74,7 @@ from .errors import (
     SpecMismatch,
     WindowTooSmall,
 )
-from .rationals import format_fraction, round_to_bits
+from .rationals import _over, format_fraction, round_to_bits
 from .recurrence import RecurrenceSpec
 
 __all__ = [
@@ -99,17 +103,17 @@ class GrowthEstimate:
 
     ``a_est`` and ``b_est`` are dyadic rationals carrying
     ``precision_bits`` significant bits: the slope and the intercept of
-    the secant through the last two exact means.  ``window`` spans the
-    three indices the estimate read and ends at n_max.  ``convergence_gap``
-    is the change between the last two slope differences, the natural
-    scale for how far ``a_est`` may sit from the true slope.
+    the secant through the last two exact means, those at ``n_max - 1``
+    and ``n_max``.  ``convergence_gap`` is the change between the last two
+    slope differences (the third mean read is the one at ``n_max - 2``),
+    the natural scale for how far ``a_est`` may sit from the true slope.
     """
 
     spec: RecurrenceSpec
     precision_bits: int
     a_est: Fraction
     b_est: Fraction
-    window: tuple[int, int]
+    n_max: int
     convergence_gap: Fraction
 
 
@@ -136,9 +140,7 @@ def estimate_growth(
     gap = abs(a_exact - (m1 - m2))
     a_est = round_to_bits(a_exact, precision_bits)
     b_est = round_to_bits(n_max * m1 - (n_max - 1) * m0, precision_bits)
-    return GrowthEstimate(
-        engine.spec, precision_bits, a_est, b_est, (n_max - 2, n_max), gap
-    )
+    return GrowthEstimate(engine.spec, precision_bits, a_est, b_est, n_max, gap)
 
 
 def _require_same_spec(engine: SummandTable, growth: GrowthEstimate) -> None:
@@ -148,35 +150,54 @@ def _require_same_spec(engine: SummandTable, growth: GrowthEstimate) -> None:
         )
 
 
-def _y_variance(engine: SummandTable, n: int) -> tuple[int, int]:
+def _with_v(T: int, A1: int, A2: int) -> tuple[int, int, int]:
+    """``(T, A_1, V)`` with ``V = T A_2 - A_1^2``, so that Var[K] = V/T^2."""
+    return T, A1, T * A2 - A1 * A1
+
+
+def _index_sums(engine: SummandTable, n_max: int) -> list:
+    """``(T_m, A_1(m), V_m)`` at list position m for ``L < m <= n_max``.
+
+    One pass over the moment rows; the positions up to L hold None, as
+    neither the Y sweep (which reads ``r = n - l >= L + 1``) nor the rows
+    read them.
+    """
+    L = engine.spec.length
+    return [None] * (L + 1) + [
+        _with_v(*engine._low_sums(m)) for m in range(L + 1, n_max + 1)
+    ]
+
+
+def _y_variance(n: int, here: tuple, removed) -> tuple[int, int]:
     """Var[Y_n] as an unreduced integer pair ``(num, T_n^2 P)``.
 
-    One pass over :meth:`SummandTable.removal_rows` checks the first
+    ``here`` is ``(T_n, A_1(n), V_n)``; ``removed`` yields, per block
+    length l, ``(k, s1, (T_r, A_1(r), V_r))`` at ``r = n - l``, with k
+    sizes of length l summing to s1.  One pass over it checks the first
     removal identity, ``sum_l k T_r = T_n`` and
     ``sum_l (s1 T_r + k A_1(r)) = A_1(n)``, and raises on a mismatch.  The
     same pass builds the law of total variance over ``P = prod_l T_r``:
 
         Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}]
-        = ((T_n A_2(n) - A_1(n)^2) P
-           - T_n sum_l k (T_r A_2(r) - A_1(r)^2) P/T_r) / (T_n^2 P),
+        = (V_n P - T_n sum_l k V_r P/T_r) / (T_n^2 P),
 
     where the sum over l is kept over the running product of the T_r seen
     so far, so no division is needed.
     """
-    Tn, A1n, A2n = engine._low_sums(n)
+    Tn, A1n, Vn = here
     c0 = c1 = within = 0
     P = 1
-    for _, (k, s1, _), (Tr, A1, A2) in engine.removal_rows(n):
+    for k, s1, (Tr, A1, V) in removed:
         c0 += k * Tr
         c1 += s1 * Tr + k * A1
-        within = within * Tr + k * (Tr * A2 - A1 * A1) * P
+        within = within * Tr + k * V * P
         P *= Tr
     if (c0, c1) != (Tn, A1n):
         raise PlrsError(
             f"removal rows at n={n} do not reassemble T_n and A_1(n), so the "
             "mean of the centered block statistic is not f(n)"
         )
-    return (Tn * A2n - A1n * A1n) * P - Tn * within, Tn * Tn * P
+    return Vn * P - Tn * within, Tn * Tn * P
 
 
 def y_statistics(
@@ -189,30 +210,41 @@ def y_statistics(
     ``T_m = H_{m+1} - H_m``) and evaluates ``t + f(r) - a*l`` with
     ``f(m) = E[K_m] - a*m - b``.  As ``r + l = n``, its mean is ``f(n)``,
     for any a and b, exactly when the first removal identity holds.  The
-    integer helper behind :func:`find_threshold_N` checks that identity on
-    the removal rows (a failure raises) and returns the variance, free of
-    a and b, as an unreduced integer pair; this function reads the mean
-    from the moment row at n as ``E[K_n] - a*n - b`` and reduces the
-    variance to one fraction.
+    integer helper of the Y sweep checks that identity (a failure raises)
+    and returns the variance, free of a and b, as an unreduced integer
+    pair; here it reads :meth:`SummandTable.removal_rows` at n alone, apart
+    from the sweep's one-pass list.  This function reads the mean from the
+    moment row at n as ``E[K_n] - a*n - b`` and reduces the variance to
+    one fraction.
     """
     _require_same_spec(engine, growth)
-    num, den = _y_variance(engine, n)
+    removed = (
+        (k, s1, _with_v(*sums)) for _, (k, s1, _), sums in engine.removal_rows(n)
+    )
+    num, den = _y_variance(n, _with_v(*engine._low_sums(n)), removed)
     return engine.mean(n) - growth.a_est * n - growth.b_est, Fraction(num, den)
 
 
 def _threshold(
-    engine: SummandTable, growth: GrowthEstimate, n_max: int
+    engine: SummandTable, growth: GrowthEstimate, sums: list
 ) -> tuple[dict[int, tuple[int, int]], Fraction, int]:
     """The Y sweep over ``2L < n <= n_max``, the bound a^2/(2S) and N.
 
-    Each Var[Y_n] stays an unreduced pair ``(num, den)``.  With
-    ``a_est = alpha/D``, index n fails when ``num 2S D^2 <= alpha^2 den``.
+    ``sums`` is the :func:`_index_sums` list up to n_max, the only moment
+    data the sweep reads; the weights ``(k, s1)`` of each block length are
+    taken once per call.  Each Var[Y_n] stays an unreduced pair
+    ``(num, den)``.  With ``a_est = alpha/D``, index n fails when
+    ``num 2S D^2 <= alpha^2 den``.
     """
     _require_same_spec(engine, growth)
-    L, S = engine.spec.length, engine.spec.size
+    L, S, n_max = engine.spec.length, engine.spec.size, len(sums) - 1
     alpha, D = growth.a_est.numerator, growth.a_est.denominator
     scale, top = 2 * S * D * D, alpha * alpha
-    pairs = {n: _y_variance(engine, n) for n in range(2 * L + 1, n_max + 1)}
+    weights = [(ell, power[0], power[1]) for ell, power, _ in engine._by_length]
+    pairs = {
+        n: _y_variance(n, sums[n], ((k, s1, sums[n - ell]) for ell, k, s1 in weights))
+        for n in range(2 * L + 1, n_max + 1)
+    }
     failures = [n for n, (num, den) in pairs.items() if num * scale <= top * den]
     if failures and failures[-1] == n_max:
         raise NoThresholdInRange(
@@ -229,7 +261,7 @@ def find_threshold_N(engine: SummandTable, growth: GrowthEstimate, n_max: int) -
     Raises :class:`NoThresholdInRange` when the bound fails at ``n_max``
     itself, since then no threshold inside the window has a verified tail.
     """
-    return _threshold(engine, growth, n_max)[2]
+    return _threshold(engine, growth, _index_sums(engine, n_max))[2]
 
 
 @dataclass(frozen=True)
@@ -363,7 +395,7 @@ class TheoremReport:
 
     Each result of the chain is held once, where it was computed, in eight
     fields: the spec, ``precision_bits``, ``a_est``, ``b_est``,
-    ``convergence_gap`` and the window (whose end is n_max) on ``growth``;
+    ``convergence_gap`` and ``n_max`` on ``growth``;
     the constant c, the candidate it came from and every candidate on
     ``choice`` (``value``, ``source``, ``candidates``).  ``threshold_N``,
     ``y_bound`` (a^2/(2S)), ``y_pairs`` (Var[Y_n] over the sweep as
@@ -400,11 +432,12 @@ def verify_variance_bound(
 ) -> TheoremReport:
     """Run the whole verification chain up to ``n_max``.
 
-    Estimates growth, sweeps the centered block statistic to find the
+    Estimates growth, builds each index's ``(T_m, A_1(m), V_m)`` once,
+    sweeps the centered block statistic over that list to find the
     threshold N, chooses c, and checks ``Var[K_n] >= c*n`` for every
-    ``L < n <= n_max`` by integer cross-multiplication.  Also estimates
-    the variance slope from the last first difference and requires it not
-    to undercut c beyond the differencing noise.
+    ``L < n <= n_max`` by integer cross-multiplication on the same list.
+    Also estimates the variance slope from the last first difference and
+    requires it not to undercut c beyond the differencing noise.
 
     Returns the full report; raises :class:`BoundViolated` (with the
     report attached as ``exc.report``) if any index fails, which cannot
@@ -412,7 +445,8 @@ def verify_variance_bound(
     """
     L = engine.spec.length
     growth = estimate_growth(engine, n_max, precision_bits=precision_bits)
-    y_pairs, bound, N = _threshold(engine, growth, n_max)
+    sums = _index_sums(engine, n_max)
+    y_pairs, bound, N = _threshold(engine, growth, sums)
     if n_max < N + 10:
         raise WindowTooSmall(
             f"n_max={n_max} leaves no room beyond the threshold N={N}; need N+10"
@@ -420,17 +454,20 @@ def verify_variance_bound(
     choice = compute_c(engine, growth, N)
     c = choice.value
 
-    # Each row from the raw sums at n: Var[K_n] = V/T^2 with V = T A_2 - A_1^2,
-    # checked as V c_q >= c_p n T^2; the row's fractions are reduced once each.
+    # Each row from the list: Var[K_n] = V/T^2, checked as V c_q >= c_p n T^2.
+    # The mean is reduced by g = gcd(A_1, T).  When g = 1, V/T^2 is already
+    # in lowest terms: a prime dividing T and V = T A_2 - A_1^2 divides A_1.
+    # c*n is reduced by gcd(n, c_q), as c_p and c_q are coprime.
     cp, cq = c.numerator, c.denominator
     per_n = []
     for n in range(L + 1, n_max + 1):
-        T, A1, A2 = engine._low_sums(n)
-        V, T2 = T * A2 - A1 * A1, T * T
-        variance, cn = Fraction(V, T2), c * n
+        T, A1, V = sums[n]
+        T2, g = T * T, math.gcd(A1, T)
+        variance = _over(V, T2, 1 if g == 1 else math.gcd(V, T2))
+        cn = _over(cp * n, cq, math.gcd(n, cq))
         per_n.append(
             PerIndexVerdict(
-                n, Fraction(A1, T), variance, cn, variance - cn, V * cq >= cp * n * T2
+                n, _over(A1, T, g), variance, cn, variance - cn, V * cq >= cp * n * T2
             )
         )
 

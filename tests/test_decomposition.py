@@ -337,6 +337,28 @@ def test_parse_single_coefficient(fib, h2202):
     )
 
 
+def test_parse_returns_the_catalog_blocks(fixture_spec):
+    # Each block equals the one built from its own run and is the catalog's
+    # object: type 2 by size, type 1 by length.
+    from plrs import Block, BlockKind
+
+    catalog = block_catalog(fixture_spec)
+    c = fixture_spec.coefficients
+    for n in range(1, 9):
+        for d in enumerate_omega(fixture_spec, n):
+            start = 0
+            for b in parse_blocks(fixture_spec, d).blocks:
+                run = d.coefficients[start:start + b.length]
+                if run[-1] < c[len(run) - 1]:
+                    assert b == Block(BlockKind.TYPE2, run)
+                    assert b is catalog.type2_by_size[b.size]
+                else:
+                    assert b == Block(BlockKind.TYPE1, run)
+                    assert b is catalog.type1_blocks[b.length - 1]
+                start += b.length
+            assert start == n
+
+
 def test_parse_contracts_over_enumeration(fixture_spec):
     from plrs import BlockKind, second_to_last_block_size
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from plrs import decimal_str, format_fraction, round_to_bits
+from plrs.rationals import _over
 
 
 def test_format_and_parse_round_trip():
@@ -77,3 +78,11 @@ def test_round_trips_past_the_int_digit_limit(unlimited_int_digits):
     text = decimal_str(x, 3)
     assert text == "3" * 5000 + ".667"
     assert Fraction(text) == Fraction(round(x * 1000), 1000)
+
+
+def test_over_builds_a_plain_reduced_fraction():
+    x = _over(6 * 10**40, 4 * 10**40, 2 * 10**40)
+    assert type(x) is Fraction and (x.numerator, x.denominator) == (3, 2)
+    assert x == Fraction(3, 2) and hash(x) == hash(Fraction(3, 2))
+    assert format_fraction(_over(0, 7, 7)) == "0"
+    assert (_over(-3, 7, 1).numerator, _over(-3, 7, 1).denominator) == (-3, 7)

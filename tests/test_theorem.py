@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, strategies as st
 
 from plrs import (
     ConstantChoice,
@@ -83,7 +83,7 @@ def test_growth_intercept_is_the_last_secant(fixture_spec):
         # exactly linear means: every secant meets the axis at the same b
         assert growth.b_est == round_to_bits(_secant_intercept(engine, 400), 128)
         assert growth.b_est == b_ref
-    assert growth.window == (398, 400)
+    assert growth.n_max == 400
 
 
 # -- the centered block statistic -------------------------------------------------
@@ -171,6 +171,46 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
     ] == rows
 
 
+def _terms(x):
+    return x.numerator, x.denominator
+
+
+def test_one_pass_chain_matches_the_per_index_path(fixture_spec):
+    # The sweep and the rows read one (T, A_1, V) list per call.  The oracle
+    # stays apart from it: y_statistics reads the removal rows at each n on
+    # a second table, and stats(n) is a view of that table's moment rows.
+    report = verify_variance_bound(SummandTable(fixture_spec), 400)
+    oracle = SummandTable(fixture_spec)
+    assert list(report.y_pairs) == list(range(2 * fixture_spec.length + 1, 401))
+    for n, (num, den) in report.y_pairs.items():
+        var_y = y_statistics(oracle, n, report.growth)[1]
+        assert _terms(Fraction(num, den)) == _terms(var_y), n
+    c = report.choice.value
+    assert [row.n for row in report.per_n] == list(range(fixture_spec.length + 1, 401))
+    for row in report.per_n:
+        s = oracle.stats(row.n)
+        cn = c * row.n
+        assert _terms(row.mean) == _terms(s.mean), row.n
+        assert _terms(row.variance) == _terms(s.variance), row.n
+        assert _terms(row.bound) == _terms(cn), row.n
+        assert _terms(row.margin) == _terms(s.variance - cn), row.n
+        assert row.passed is (s.variance >= cn)
+
+
+@given(
+    st.integers(min_value=1, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=0, max_value=2**80),
+)
+@example(12, 5, 7)
+@example(2**40 * 3**5, 7**9, 11)
+def test_a_coprime_mean_leaves_the_variance_reduced(T, A, B):
+    # The rows skip gcd(V, T^2) when gcd(A_1, T) = 1: a prime dividing T and
+    # V = T B - A^2 divides A^2, hence A.
+    assume(math.gcd(A, T) == 1)
+    assert math.gcd(T * B - A * A, T * T) == 1
+
+
 def test_find_threshold_small(fixture_spec):
     growth = estimate_growth(SummandTable(fixture_spec), 80)
     N = find_threshold_N(SummandTable(fixture_spec), growth, 80)
@@ -204,7 +244,7 @@ def test_find_threshold_takes_the_last_failure_and_counts_equality(monkeypatch, 
     variances = {9: (p, 2 * q), 17: (3 * p, 3 * q)}  # bound / 2 and bound
     monkeypatch.setattr(
         "plrs.theorem._y_variance",
-        lambda engine, n: variances.get(n, (p + q, q)),  # bound + 1
+        lambda n, here, removed: variances.get(n, (p + q, q)),  # bound + 1
     )
     assert find_threshold_N(SummandTable(fib), growth, 40) == 17
 
@@ -212,8 +252,8 @@ def test_find_threshold_takes_the_last_failure_and_counts_equality(monkeypatch, 
 def test_verify_needs_ten_indices_beyond_the_threshold(monkeypatch, fib):
     real = theorem._y_variance
 
-    def y_fails_at_20(engine, n):
-        pair = real(engine, n)
+    def y_fails_at_20(n, here, removed):
+        pair = real(n, here, removed)
         return (0, 1) if n == 20 else pair
 
     monkeypatch.setattr("plrs.theorem._y_variance", y_fails_at_20)
@@ -429,30 +469,33 @@ def test_gaussian_empty_list(fib):
 
 # -- internal consistency guard --------------------------------------------------------
 
-def test_verify_reads_the_removal_rows_once_per_index(monkeypatch, fib):
+def test_verify_forms_each_index_sums_once(monkeypatch, fib):
+    # One pass over the moment rows per call: the Y sweep and the rows read
+    # the same (T, A_1, V) list, and neither goes through removal_rows.
     engine = SummandTable(fib)
-    real = engine.removal_rows
+    real = engine._low_sums
     calls = {}
 
     def counted(n):
         calls[n] = calls.get(n, 0) + 1
         return real(n)
 
-    monkeypatch.setattr(engine, "removal_rows", counted)
-    verify_variance_bound(engine, 40)
-    assert calls == {n: 1 for n in range(2 * fib.length + 1, 41)}
+    monkeypatch.setattr(engine, "_low_sums", counted)
+    monkeypatch.setattr(engine, "removal_rows", lambda n: pytest.fail("removal_rows"))
+    growth = verify_variance_bound(engine, 40).growth
+    assert calls == {n: 1 for n in range(fib.length + 1, 41)}
+    calls.clear()
+    find_threshold_N(engine, growth, 40)
+    assert calls == {n: 1 for n in range(fib.length + 1, 41)}
 
 
 def test_verify_stops_on_corrupt_removal_rows(monkeypatch, fib):
-    # The s1 + 1 corruption below, met by the sweep's own pass over the rows.
+    # s1 + 1 on the shortest block length, which the sweep's weights read
+    # once per call; the first index of the sweep meets it.
     engine = SummandTable(fib)
-    real = engine.removal_rows
-
-    def corrupt(n):
-        (ell, (k, s1, s2), sums), *rest = real(n)
-        return ((ell, (k, s1 + 1, s2), sums), *rest)
-
-    monkeypatch.setattr(engine, "removal_rows", corrupt)
+    (ell, power, weights), *rest = engine._by_length
+    corrupt = ((ell, (power[0], power[1] + 1, *power[2:]), weights), *rest)
+    monkeypatch.setattr(engine, "_by_length", corrupt)
     with pytest.raises(PlrsError, match="removal rows at n=5 "):
         verify_variance_bound(engine, 40)
 
