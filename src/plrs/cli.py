@@ -130,7 +130,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("config file nests too deeply to read") from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         _check_config_types(data)

@@ -328,12 +328,13 @@ class SummandTable:
     The sum over t >= 1 at n is ``P_n`` itself, which :meth:`polynomial`
     unpacks slot by slot, with no subtraction.  All terms are
     non-negative, so every coefficient and partial sum of ``Q_r`` is at
-    most the tail count ``Q_r(1) = H_{r+1}``.  Each step sums that count
-    from the counts held next to the tails it reads and widens B, in whole
-    steps of ``_SLOT_STEP`` bits, to its bit length, re-slotting the held
-    tails one at a time when it grows.  A call holds O(n^2) bits, but a
-    fixed slot width spends the full B bits on the thin outer coefficients
-    too, up to about twice the bits the coefficients themselves need.
+    most the tail count ``Q_r(1) = H_{r+1}``.  The bit lengths of
+    ``H_1, ..., H_{n+1}`` are read once before the loop, and each step
+    widens B, in whole steps of ``_SLOT_STEP`` bits, to the bit length of
+    its count, re-slotting the held tails one at a time when it grows.  A
+    call holds O(n^2) bits, but a fixed slot width spends the full B bits
+    on the thin outer coefficients too, up to about twice the bits the
+    coefficients themselves need.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -364,31 +365,27 @@ class SummandTable:
         ``Q_0`` on each call."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        L, B = self.spec.length, _SLOT_STEP
-        lengths, by_length = self.catalog.length_table, self._by_length
-        tails = [(1, 1)]  # (Q_r(1), Q_r(2^B)) of the last L lengths r
+        L, B, lengths = self.spec.length, _SLOT_STEP, self.catalog.length_table
+        # Q_r(1) = H_{r+1}; only its bit length is kept through the loop.
+        bits = [h.bit_length() for h in SequenceTable(self.spec).terms(n + 1)]
+        tails = [1]  # Q_r(2^B) of the last L lengths r
         for r in range(1, n + 1):
-            count = sum(
-                power[0] * tails[-ell][0] for ell, power, _ in by_length if ell <= r
-            ) + (r < L)
-            bits = count.bit_length()
-            if bits > B:  # re-slot: pad each slot with zero bytes
-                width = -(-bits // _SLOT_STEP) * _SLOT_STEP
+            if bits[r] > B:  # re-slot: pad each slot with zero bytes
+                width = -(-bits[r] // _SLOT_STEP) * _SLOT_STEP
                 pad = bytes((width - B) // 8)
-                for i in range(len(tails)):  # one at a time, each old one freed
-                    c, q = tails[i]
-                    tails[i] = c, int.from_bytes(pad.join(_slots(q, B)), "little")
+                for i, q in enumerate(tails):  # one at a time, each old one freed
+                    tails[i] = int.from_bytes(pad.join(_slots(q, B)), "little")
                 del q  # the last old tail
                 B = width
-            acc = tails[-1][1] if r < n else 0  # at n the sum is P_n itself
+            acc = tails[-1] if r < n else 0  # at n the sum is P_n itself
             for t in range(1, self.spec.size):
                 ell = lengths[t]
                 if ell > r:
                     break  # lengths are non-decreasing in t
-                acc += tails[-ell][1] << t * B
+                acc += tails[-ell] << t * B
             if r < L:
                 acc += 1 << self.catalog.type1_blocks[r - 1].size * B
-            tails.append((count, acc))
+            tails.append(acc)
             del tails[:-L]
         slots = _slots(acc, B)
         return SummandPolynomial(n, tuple(int.from_bytes(s, "little") for s in slots))
@@ -406,14 +403,12 @@ class SummandTable:
         Removing a block of size t (0 included) and length l maps the
         outcomes at ``n > 2L`` that carry it onto the space at ``r = n - l``
         and lowers their summand counts by t.  Per length l, shortest first:
-        ``(l, (k, s1, s2), (T_r, A_1(r), A_2(r)))``, with k sizes of length
-        l summing to s1 (their squares to s2), and the raw sums at r.
+        ``(k, s1, s2, r)``, with k sizes of length l summing to s1 (their
+        squares to s2).  It reads no moment row: each caller pairs r with
+        the raw sums it holds for that index.
         """
         _require_three_blocks(self.spec, n)
-        return tuple(
-            (ell, power[:3], self._low_sums(n - ell))
-            for ell, power, _ in self._by_length
-        )
+        return tuple((*power[:3], n - ell) for ell, power, _ in self._by_length)
 
     def stats(self, n: int) -> EnsembleStats:
         """Exact moments at index ``n``, a view of the moment rows built on

@@ -33,13 +33,16 @@ Var[Y_n] as an unreduced pair ``(numerator, T_n^2 P)``; the pair is
 compared with ``a^2/(2S)`` by cross-multiplication.  Each row compares
 ``Var[K_n] >= c*n`` the same way.  A fraction is reduced only where a
 value is reported: the fields of each row, with one gcd for the mean and
-at most one more for the variance, and ``TheoremReport.var_y`` on each
-read.
+at most one more for the variance.
 
 Deleting the second-to-last block Z_n (size t, length len(t)) maps the
 outcomes at index n that carry it onto the space at ``n - len(t)`` and
-lowers their summand counts by t.  This gives two exact identities that
-avoid a and b and are the strongest regression checks in the package:
+lowers their summand counts by t.  One engine lists those shorter spaces,
+:meth:`~plrs.ensemble.SummandTable.removal_rows`, which reads no moment
+row: the Y sweep pairs it with the one-pass list, and :func:`y_statistics`
+and both identities below with the raw sums of each shorter index.  This
+gives two exact identities that avoid a and b and are the strongest
+regression checks in the package:
 
     E[K_n]   = sum_t P(Z_n = t) * (E[K_{n-len(t)}] + t)
     E[K_n^2] = sum_t P(Z_n = t) * (E[K_{n-len(t)}^2]
@@ -212,15 +215,15 @@ def y_statistics(
     for any a and b, exactly when the first removal identity holds.  The
     integer helper of the Y sweep checks that identity (a failure raises)
     and returns the variance, free of a and b, as an unreduced integer
-    pair; here it reads :meth:`SummandTable.removal_rows` at n alone, apart
-    from the sweep's one-pass list.  This function reads the mean from the
+    pair; here it pairs :meth:`SummandTable.removal_rows` at n with the raw
+    sums of each shorter index, read one index at a time apart from the
+    sweep's one-pass list.  This function reads the mean from the
     moment row at n as ``E[K_n] - a*n - b`` and reduces the variance to
     one fraction.
     """
     _require_same_spec(engine, growth)
-    removed = (
-        (k, s1, _with_v(*sums)) for _, (k, s1, _), sums in engine.removal_rows(n)
-    )
+    rows = engine.removal_rows(n)
+    removed = ((k, s1, _with_v(*engine._low_sums(r))) for k, s1, _, r in rows)
     num, den = _y_variance(n, _with_v(*engine._low_sums(n)), removed)
     return engine.mean(n) - growth.a_est * n - growth.b_est, Fraction(num, den)
 
@@ -231,8 +234,8 @@ def _threshold(
     """The Y sweep over ``2L < n <= n_max``, the bound a^2/(2S) and N.
 
     ``sums`` is the :func:`_index_sums` list up to n_max, the only moment
-    data the sweep reads; the weights ``(k, s1)`` of each block length are
-    taken once per call.  Each Var[Y_n] stays an unreduced pair
+    data the sweep reads; each index pairs it with its
+    :meth:`SummandTable.removal_rows`.  Each Var[Y_n] stays an unreduced pair
     ``(num, den)``.  With ``a_est = alpha/D``, index n fails when
     ``num 2S D^2 <= alpha^2 den``.
     """
@@ -240,9 +243,10 @@ def _threshold(
     L, S, n_max = engine.spec.length, engine.spec.size, len(sums) - 1
     alpha, D = growth.a_est.numerator, growth.a_est.denominator
     scale, top = 2 * S * D * D, alpha * alpha
-    weights = [(ell, power[0], power[1]) for ell, power, _ in engine._by_length]
     pairs = {
-        n: _y_variance(n, sums[n], ((k, s1, sums[n - ell]) for ell, k, s1 in weights))
+        n: _y_variance(
+            n, sums[n], ((k, s1, sums[r]) for k, s1, _, r in engine.removal_rows(n))
+        )
         for n in range(2 * L + 1, n_max + 1)
     }
     failures = [n for n, (num, den) in pairs.items() if num * scale <= top * den]
@@ -354,7 +358,8 @@ def _removal_sums(engine: SummandTable, n: int) -> tuple[int, int, int]:
     ``C_0 = sum_l k T_r``, ``C_1 = sum_l (s1 T_r + k A_1(r))`` and
     ``C_2 = sum_l (s2 T_r + 2 s1 A_1(r) + k A_2(r))``."""
     c0 = c1 = c2 = 0
-    for _, (k, s1, s2), (Tr, A1, A2) in engine.removal_rows(n):
+    for k, s1, s2, r in engine.removal_rows(n):
+        Tr, A1, A2 = engine._low_sums(r)
         c0 += k * Tr
         c1 += s1 * Tr + k * A1
         c2 += s2 * Tr + 2 * s1 * A1 + k * A2
@@ -400,8 +405,8 @@ class TheoremReport:
     ``choice`` (``value``, ``source``, ``candidates``).  ``threshold_N``,
     ``y_bound`` (a^2/(2S)), ``y_pairs`` (Var[Y_n] over the sweep as
     unreduced integer pairs), ``slope_C_est``, the per-index rows and the
-    Gaussian rows are the report's own.  ``var_y`` reduces the pairs on
-    each read and keeps nothing.
+    Gaussian rows are the report's own.  Var[Y_n] is held only as those
+    pairs; a reader reduces one with ``Fraction(num, den)``.
     """
 
     growth: GrowthEstimate
@@ -412,11 +417,6 @@ class TheoremReport:
     slope_C_est: Fraction
     per_n: tuple[PerIndexVerdict, ...]
     gaussian: tuple[GaussianRow, ...]
-
-    @property
-    def var_y(self) -> dict[int, Fraction]:
-        """Var[Y_n] over the sweep, n -> reduced fraction."""
-        return {n: Fraction(num, den) for n, (num, den) in self.y_pairs.items()}
 
     @property
     def all_pass(self) -> bool:

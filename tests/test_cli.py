@@ -357,6 +357,21 @@ def test_config_type_errors_exit_2(tmp_path, capsys, data):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"coefficients": ' + "[" * 100_000 + "]" * 100_000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["nested-value", "nested-top-level"],
+)
+def test_deeply_nested_config_exits_2(tmp_path, capsys, text):
+    # json.load raises RecursionError here, which once escaped as a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfg), "verify")
+    assert code == 2
+    assert out == ""
+    assert err == "plrs: error: config file nests too deeply to read\n"
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize(
     "bits", [0, -3, MAX_PRECISION_BITS + 1, 10**20], ids=["zero", "negative", "ceiling+1", "1e20"]

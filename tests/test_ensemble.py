@@ -407,6 +407,14 @@ def test_slot_boundaries(coeffs, n_max, monkeypatch):
         assert spied[-1] == _least_slot_width(table.term(n + 1)), n
 
 
+def test_removal_rows_read_no_moment_row(fixture_spec):
+    # Reading the raw sums at each r here extended a fresh table to n - 1.
+    engine = SummandTable(fixture_spec)
+    rows = engine.removal_rows(400)
+    assert engine._moments == [(1, 0, 0, 0, 0)]
+    assert [r for *_, r in rows] == [400 - ell for ell, _, _ in engine._by_length]
+
+
 def test_a_table_keeps_nothing_after_a_histogram(fixture_spec):
     # Keeping the last L packed tails between calls retained 36-492 KB here.
     engine = SummandTable(fixture_spec)

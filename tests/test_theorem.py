@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -165,7 +164,8 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
     assert report.growth == growth
     var_y = {n: var for n, (_, var) in reference.items() if n <= 60}
     y_bound, N, rows = _reference_verify(engine, growth, var_y)
-    assert (report.var_y, report.y_bound, report.threshold_N) == (var_y, y_bound, N)
+    reduced = {n: Fraction(num, den) for n, (num, den) in report.y_pairs.items()}
+    assert (reduced, report.y_bound, report.threshold_N) == (var_y, y_bound, N)
     assert [
         (r.n, r.mean, r.variance, r.bound, r.margin, r.passed) for r in report.per_n
     ] == rows
@@ -355,7 +355,10 @@ def test_removal_identities_match_size_by_size_reference(coeffs):
         lhs2, rhs2 = second_moment_identity(engine, n)
         assert lhs1 == rhs1 and lhs2 == rhs2, n
         assert (rhs1, rhs2) == _reference_removal_moments(spec, n, engine, table), n
-        c0 = sum(k * Tr for _, (k, _, _), (Tr, _, _) in engine.removal_rows(n))
+        rows = engine.removal_rows(n)
+        lengths = engine.catalog.length_table
+        assert [r for *_, r in rows] == sorted({n - ell for ell in lengths}, reverse=True)
+        c0 = sum(k * (table.term(r + 1) - table.term(r)) for k, _, _, r in rows)
         assert c0 == table.term(n + 1) - table.term(n), n
 
 
@@ -422,19 +425,13 @@ def test_verify_slope_check_allows_ten_times_the_difference_noise(
         assert verify_variance_bound(engine, 60).all_pass
 
 
-def test_var_y_is_reduced_on_each_read_and_not_kept(h2202):
+def test_report_holds_var_y_only_as_integer_pairs(h2202):
     # Caching the reduced fractions beside the pairs kept about 184 KB here.
     report = verify_variance_bound(SummandTable(h2202), 400)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        var_y = report.var_y
-        assert var_y == {n: Fraction(*pair) for n, pair in report.y_pairs.items()}
-        del var_y
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 16 * 2**10
+    assert not hasattr(report, "var_y")
+    assert list(report.y_pairs) == list(range(2 * h2202.length + 1, 401))
+    for num, den in report.y_pairs.values():
+        assert type(num) is int and type(den) is int
 
 
 def test_verify_all_fixture_specs_pass():
@@ -471,31 +468,51 @@ def test_gaussian_empty_list(fib):
 
 def test_verify_forms_each_index_sums_once(monkeypatch, fib):
     # One pass over the moment rows per call: the Y sweep and the rows read
-    # the same (T, A_1, V) list, and neither goes through removal_rows.
+    # the same (T, A_1, V) list, and the sweep's removal_rows read no row.
     engine = SummandTable(fib)
-    real = engine._low_sums
-    calls = {}
+    real, real_rows = engine._low_sums, engine.removal_rows
+    calls, swept = {}, []
 
     def counted(n):
         calls[n] = calls.get(n, 0) + 1
         return real(n)
 
+    def rows_only(n):
+        held, engine._moments = engine._moments, None  # any row read fails
+        try:
+            rows = real_rows(n)
+        finally:
+            engine._moments = held
+        swept.append(n)
+        return rows
+
     monkeypatch.setattr(engine, "_low_sums", counted)
-    monkeypatch.setattr(engine, "removal_rows", lambda n: pytest.fail("removal_rows"))
+    monkeypatch.setattr(engine, "removal_rows", rows_only)
     growth = verify_variance_bound(engine, 40).growth
     assert calls == {n: 1 for n in range(fib.length + 1, 41)}
+    assert swept == list(range(2 * fib.length + 1, 41))
     calls.clear()
+    swept.clear()
     find_threshold_N(engine, growth, 40)
     assert calls == {n: 1 for n in range(fib.length + 1, 41)}
+    assert swept == list(range(2 * fib.length + 1, 41))
+
+
+def _corrupt_s1(monkeypatch, engine):
+    """s1 + 1 on the shortest block length of every ``removal_rows``."""
+    real = engine.removal_rows
+
+    def corrupt(n):
+        (k, s1, s2, r), *rest = real(n)
+        return ((k, s1 + 1, s2, r), *rest)
+
+    monkeypatch.setattr(engine, "removal_rows", corrupt)
 
 
 def test_verify_stops_on_corrupt_removal_rows(monkeypatch, fib):
-    # s1 + 1 on the shortest block length, which the sweep's weights read
-    # once per call; the first index of the sweep meets it.
+    # The first index of the sweep meets the corrupt row.
     engine = SummandTable(fib)
-    (ell, power, weights), *rest = engine._by_length
-    corrupt = ((ell, (power[0], power[1] + 1, *power[2:]), weights), *rest)
-    monkeypatch.setattr(engine, "_by_length", corrupt)
+    _corrupt_s1(monkeypatch, engine)
     with pytest.raises(PlrsError, match="removal rows at n=5 "):
         verify_variance_bound(engine, 40)
 
@@ -504,12 +521,6 @@ def test_y_mean_check_detects_corrupt_removal_rows(monkeypatch, fib):
     # The variance never reads s1, so only the mean check sees this.
     engine = SummandTable(fib)
     growth = estimate_growth(engine, 40)
-    real = engine.removal_rows
-
-    def corrupt(n):
-        (ell, (k, s1, s2), sums), *rest = real(n)
-        return ((ell, (k, s1 + 1, s2), sums), *rest)
-
-    monkeypatch.setattr(engine, "removal_rows", corrupt)
+    _corrupt_s1(monkeypatch, engine)
     with pytest.raises(PlrsError):
         y_statistics(engine, 40, growth)
