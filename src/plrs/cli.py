@@ -5,9 +5,11 @@ output: ``table`` (human, default), ``csv`` and ``json``.  Exact rationals
 appear as ``p/q`` strings and arbitrary-precision integers as decimal
 strings, never as floats, so csv/json output is byte-identical across
 runs for identical arguments (including the sampling seed).  Each
-subcommand handler returns its result as one :class:`Payload` (a json
-object, csv rows, and table text where that differs from the csv), and
-one emitter writes it in the chosen format.
+subcommand handler computes its result and returns it as one
+:class:`Payload` (a json object, csv rows, and table lines where they
+differ from the csv).  One emitter writes it in the chosen format, piece by
+piece: compact json as one string, indented json as the encoder's chunks,
+csv and table one line at a time.
 
 One table, ``_SUBCOMMANDS``, declares every subcommand once: its handler,
 help line, whether it needs a positive index n, and its own arguments.
@@ -32,9 +34,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .decomposition import (
     decompose,
@@ -51,14 +55,7 @@ from .ensemble import (
     sample_uniform,
     z_distribution,
 )
-from .errors import (
-    BoundViolated,
-    CapExceeded,
-    EmptyConditionalEvent,
-    NonPositiveC,
-    NoThresholdInRange,
-    PlrsError,
-)
+from .errors import BoundViolated, CapExceeded, EmptyConditionalEvent, PlrsError
 from .rationals import decimal_str, format_fraction
 from .recurrence import RecurrenceSpec, SequenceTable, block_catalog
 from .theorem import (
@@ -181,15 +178,15 @@ class Payload:
     """One result in every output format; only the chosen one is built.
 
     ``data`` gives the json object, ``header`` and ``rows`` the csv (one
-    tuple of cells per line), ``text`` the table where it differs from the
-    csv, and ``footer`` the lines the table appends to the csv otherwise.
+    tuple of cells per line), ``text`` the table's lines unless the table
+    is the csv followed by the ``footer`` lines.
     """
 
     data: Callable[[], dict]
     header: str
     rows: Callable[[], Iterable[tuple]]
-    text: Callable[[], str] | None = None
-    footer: str = ""
+    text: Callable[[], Iterable[str]] | None = None
+    footer: tuple[str, ...] = ()
     indent: int | None = None
 
 
@@ -205,50 +202,46 @@ def _records(header: str, rows: Iterable[tuple]) -> list[dict]:
     return [dict(zip(keys, cells)) for cells in rows]
 
 
-def _csv(payload: Payload) -> str:
-    lines = [payload.header]
-    lines.extend(",".join(map(_cell, row)) for row in payload.rows())
-    return "\n".join(lines) + "\n"
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """The lines with a newline between each two, one line at a time."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
 
 
-def _render(fmt: str, payload: Payload) -> str:
+def _chunks(fmt: str, payload: Payload) -> Iterable[str]:
+    """The payload in ``fmt`` as the pieces to write, in order.
+
+    Compact json is one string from the C encoder; indented json is the
+    chunks ``json.dump`` writes.  Csv is the header, one line per row and a
+    final newline; a table is its own lines, or else the csv lines, the
+    footer lines and a final newline.
+    """
     if fmt == "json":
-        return json.dumps(payload.data())
-    if fmt == "csv":
-        return _csv(payload)
-    if payload.text is not None:
-        return payload.text()
-    return _csv(payload) + payload.footer
+        data = payload.data()
+        if payload.indent is None:
+            return (json.dumps(data),)
+        return json.JSONEncoder(indent=payload.indent).iterencode(data)
+    if fmt == "table" and payload.text is not None:
+        return _joined(payload.text())
+    footer = payload.footer if fmt == "table" else ()
+    rows = (",".join(map(_cell, row)) for row in payload.rows())
+    return _joined(chain((payload.header,), rows, footer, ("",)))
 
 
 def _emit(cfg: RunConfig, payload: Payload) -> None:
     """Write the payload to ``--output`` or to stdout, where a final newline
-    is added if missing.  The payload is built before the file is opened,
-    so a failure leaves no file."""
-    if cfg.format == "json" and payload.indent is not None:
-        # The indented encoder is pure Python either way, so it streams at
-        # no cost and never holds the whole text; without an indent the
-        # one-shot C encoder is faster than streaming.
-        data = payload.data()
-
-        def write(fh):
-            json.dump(data, fh, indent=payload.indent)
-
-        ends_line = False  # the object ends with "}"
-    else:
-        text = _render(cfg.format, payload)
-
-        def write(fh):
-            fh.write(text)
-
-        ends_line = text.endswith("\n")
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
-        if not ends_line:
-            sys.stdout.write("\n")
+    is added if missing.  Every value is computed before the file is
+    opened; only formatting runs while it is written, one piece at a time."""
+    chunks = _chunks(cfg.format, payload)
+    out = open(cfg.output, "w", encoding="utf-8") if cfg.output else nullcontext(sys.stdout)
+    with out as fh:
+        chunk = ""
+        for chunk in chunks:
+            fh.write(chunk)
+        if not cfg.output and not chunk.endswith("\n"):
+            fh.write("\n")
 
 
 def _require(condition, message: str):
@@ -280,7 +273,7 @@ def _gaussian_record(row) -> dict:
     }
 
 
-def _outcomes(head: dict, key: str, rows: list, footer: str = "") -> Payload:
+def _outcomes(head: dict, key: str, rows: list, footer: tuple[str, ...] = ()) -> Payload:
     """Payload of a list of (value, decomposition) pairs, as ``enumerate``
     and ``sample`` print it: ``head`` plus the list under ``key`` in json."""
     return Payload(
@@ -307,7 +300,7 @@ def _cmd_seq(cfg: RunConfig) -> tuple[int, Payload]:
         data=lambda: {"coefficients": str(spec), "terms": [str(t) for t in terms]},
         header="n,H",
         rows=lambda: enumerate(terms, start=1),
-        text=lambda: "\n".join(f"H_{i} = {t}" for i, t in enumerate(terms, start=1)),
+        text=lambda: (f"H_{i} = {t}" for i, t in enumerate(terms, start=1)),
     )
 
 
@@ -337,13 +330,13 @@ def _cmd_blocks(cfg: RunConfig) -> tuple[int, Payload]:
                 yield kind, b.size, b.length, " ".join(map(str, b.coefficients))
 
     def text():
-        return "\n".join([
+        return [
             f"recurrence {spec} (size S={spec.size}, length L={spec.length})",
             "type-1 blocks: " + (" ".join(str(b) for b in cat.type1_blocks) or "(none)"),
             "type-2 blocks: " + " ".join(str(b) for b in cat.type2_by_size),
             "size -> length: "
             + "  ".join(f"{t}:{l}" for t, l in enumerate(cat.length_table)),
-        ])
+        ]
 
     return 0, Payload(data, "kind,size,length,coefficients", rows, text)
 
@@ -364,13 +357,13 @@ def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
             for i, a in enumerate(d.coefficients)
             if a
         )
-        return "\n".join([
+        return [
             f"{cfg.n} = {summed}",
             f"indices: {','.join(map(str, indices))}",
             f"coefficients: {d.to_text()}",
             f"blocks: {blocks}",
             f"summands: {d.summand_count}",
-        ])
+        ]
 
     return 0, Payload(
         data=lambda: {
@@ -400,12 +393,12 @@ def _cmd_validate(cfg: RunConfig) -> tuple[int, Payload]:
         },
         header="legal,reason,position",
         rows=lambda: [(verdict.ok, verdict.reason, verdict.position)],
-        text=lambda: (
+        text=lambda: [
             "legal" if verdict
             else f"illegal: {verdict.reason}" + (
                 "" if verdict.position is None else f" (position {verdict.position})"
             )
-        ),
+        ],
     )
 
 
@@ -417,7 +410,7 @@ def _cmd_enumerate(cfg: RunConfig) -> tuple[int, Payload]:
         raise CapExceeded(count, cfg.cap)
     rows = [(value(table, d), d) for d in enumerate_omega(spec, cfg.n)]
     head = {"n": cfg.n, "cardinality": str(count)}
-    return 0, _outcomes(head, "outcomes", rows, f"cardinality: {count}\n")
+    return 0, _outcomes(head, "outcomes", rows, (f"cardinality: {count}",))
 
 
 def _cmd_poly(cfg: RunConfig) -> tuple[int, Payload]:
@@ -426,11 +419,11 @@ def _cmd_poly(cfg: RunConfig) -> tuple[int, Payload]:
 
     def text():
         terms = [(f"{c}x^{k}" if c > 1 else f"x^{k}") for k, c in enumerate(poly.coeffs) if c]
-        return (
-            f"n = {cfg.n}\ncounts by summands: "
-            + " + ".join(terms)
-            + f"\ncardinality: {poly.total}"
-        )
+        return [
+            f"n = {cfg.n}",
+            "counts by summands: " + " + ".join(terms),
+            f"cardinality: {poly.total}",
+        ]
 
     return 0, Payload(
         data=lambda: {"n": poly.n, "coeffs": [str(c) for c in poly.coeffs]},
@@ -455,7 +448,7 @@ def _cmd_stats(cfg: RunConfig) -> tuple[int, Payload]:
         lines = [f"n = {cfg.n}"]
         lines.extend(f"{k} = {v}" for k, v in fields.items())
         lines.append(f"mean ~ {decimal_str(s.mean, 6)}  variance ~ {decimal_str(s.variance, 6)}")
-        return "\n".join(lines)
+        return lines
 
     return 0, Payload(
         data=lambda: {"n": cfg.n, **fields},
@@ -481,7 +474,7 @@ def _cmd_zdist(cfg: RunConfig) -> tuple[int, Payload]:
             if checked
             else "empirical tally: skipped (space above cap)"
         )
-        return "\n".join(lines)
+        return lines
 
     return 0, Payload(
         data=lambda: {
@@ -526,8 +519,8 @@ def _cmd_identities(cfg: RunConfig) -> tuple[int, Payload]:
         },
         header=header,
         rows=lambda: cells,
-        footer=("conditional checks skipped (space above cap)\n" if skipped else "")
-        + ("all identities hold exactly\n" if ok else "IDENTITY FAILURE\n"),
+        footer=(("conditional checks skipped (space above cap)",) if skipped else ())
+        + ("all identities hold exactly" if ok else "IDENTITY FAILURE",),
     )
 
 
@@ -582,7 +575,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
 
     def text():
         columns = f"{'n':>6} {'mean':>14} {'variance':>14} {'c*n':>14} {'margin':>14}  pass"
-        lines = [
+        yield from [
             f"recurrence {spec} (S={spec.size}, L={spec.length}), n_max={cfg.n_max}",
             f"a_est = {decimal_str(growth.a_est, 10)}  b_est = {decimal_str(growth.b_est, 10)}"
             f"  convergence_gap = {decimal_str(growth.convergence_gap, 20)}",
@@ -593,20 +586,19 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
             columns,
             "-" * len(columns),
         ]
-        lines.extend(
-            f"{row.n:>6} {decimal_str(row.mean, 6):>14} "
-            f"{decimal_str(row.variance, 6):>14} "
-            f"{decimal_str(row.bound, 6):>14} "
-            f"{decimal_str(row.margin, 6):>14}  "
-            f"{'yes' if row.passed else 'NO'}"
-            for row in report.per_n
-        )
-        lines.append(
-            "all variance bounds hold"
-            if report.all_pass
+        for row in report.per_n:
+            yield (
+                f"{row.n:>6} {decimal_str(row.mean, 6):>14} "
+                f"{decimal_str(row.variance, 6):>14} "
+                f"{decimal_str(row.bound, 6):>14} "
+                f"{decimal_str(row.margin, 6):>14}  "
+                f"{'yes' if row.passed else 'NO'}"
+            )
+        yield (
+            "all variance bounds hold" if report.all_pass
             else f"FAILED at n = {report.violations[0]}"
         )
-        return "\n".join(lines) + "\n"
+        yield ""  # the table ends with a newline
 
     return code, Payload(data, header, cells, text, indent=2)
 
@@ -623,7 +615,7 @@ def _cmd_gauss(cfg: RunConfig) -> tuple[int, Payload]:
         lines.extend(
             f"{r.n:>6} {r.skewness:>14.6f} {r.excess_kurtosis:>16.6f}" for r in rows
         )
-        return "\n".join(lines)
+        return lines
 
     return 0, Payload(
         data=lambda: {
@@ -733,6 +725,16 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _fail(kind: str, exc: Exception, code: int, hint: str = "") -> int:
+    """Print ``exc`` on one stderr line, cut to its first 1,000 characters
+    (a message can echo a rejected input megabytes long); return ``code``."""
+    message = str(exc)
+    if len(message) > 1000:
+        message = f"{message[:1000]}... ({len(message)} characters)"
+    print(f"plrs: {kind}: {message}{hint}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     # Exact values pass CPython's default 4,300-digit limit on int<->str
     # conversion (3.11+) long before the arithmetic gets slow.
@@ -750,9 +752,7 @@ def main(argv=None) -> int:
             print("plrs: error: no subcommand given", file=sys.stderr)
             return 2
         command = _SUBCOMMANDS.get(cfg.subcommand)
-        if command is None:
-            print(f"plrs: error: unknown subcommand {cfg.subcommand!r}", file=sys.stderr)
-            return 2
+        _require(command is not None, f"unknown subcommand {cfg.subcommand!r}")
         if command.needs_index:
             _require(
                 cfg.n is not None and cfg.n >= 1,
@@ -761,21 +761,18 @@ def main(argv=None) -> int:
         code, payload = command.handler(cfg)
         _emit(cfg, payload)
         return code
-    except (BoundViolated, NoThresholdInRange, NonPositiveC, EmptyConditionalEvent) as exc:
-        print(f"plrs: verification failure: {exc}", file=sys.stderr)
-        return 1
+    except EmptyConditionalEvent as exc:
+        # a ValueError, so it must be caught before the usage errors
+        return _fail("verification failure", exc, 1)
     except CapExceeded as exc:
-        print(f"plrs: error: {exc} (raise --cap or PLRS_ENUM_CAP)", file=sys.stderr)
-        return 2
+        return _fail("error", exc, 2, " (raise --cap or PLRS_ENUM_CAP)")
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         # covers the validation family of PlrsError plus plain bad input,
         # and sizes too large to compute with
-        print(f"plrs: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("error", exc, 2)
     except PlrsError as exc:
         # anything left is an exactness check tripping inside the library
-        print(f"plrs: verification failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail("verification failure", exc, 1)
 
 
 if __name__ == "__main__":

@@ -132,11 +132,12 @@ def estimate_growth(
     mean decays like theta^n for some theta < 1, so the slope sits within
     O(theta^n) of a and the intercept within O(n theta^n) of b.  Each is
     rounded once to ``precision_bits`` bits, after which every residual is
-    exact.
+    exact.  ``n_max`` must be at least 2L + 11, the least that ``verify``
+    can accept: its threshold N exceeds 2L and it needs ten indices past N.
     """
     L = engine.spec.length
-    if n_max < 4 * L + 8:
-        raise WindowTooSmall(f"need n_max >= 4L + 8 = {4 * L + 8}, got {n_max}")
+    if n_max < 2 * L + 11:
+        raise WindowTooSmall(f"need n_max >= 2L + 11 = {2 * L + 11}, got {n_max}")
 
     m2, m1, m0 = (engine.mean(n) for n in range(n_max - 2, n_max + 1))
     a_exact = m0 - m1

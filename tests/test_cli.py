@@ -8,6 +8,14 @@ import pytest
 
 from plrs import SummandTable, validate_spec, verify_variance_bound
 from plrs.cli import MAX_PRECISION_BITS, RunConfig, main
+from plrs.errors import (
+    BoundViolated,
+    CapExceeded,
+    EmptyConditionalEvent,
+    NonPositiveC,
+    NoThresholdInRange,
+    PlrsError,
+)
 
 
 def run(capsys, *argv):
@@ -411,6 +419,79 @@ def test_gauss_empty_n_list_exits_2(tmp_path, capsys, route):
         argv = ["--config", str(cfg)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "plrs: error: gauss needs a non-empty --n-list\n")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        BoundViolated(7, "variance below c*n"),
+        NoThresholdInRange("no threshold"),
+        NonPositiveC("c <= 0"),
+        EmptyConditionalEvent("empty event"),
+        PlrsError("exactness check"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_verification_failures_exit_1(monkeypatch, capsys, exc):
+    import plrs.cli
+
+    def fail(cfg, payload):
+        raise exc
+
+    monkeypatch.setattr(plrs.cli, "_emit", fail)
+    code, out, err = run(capsys, "--coeffs", "1,1", "seq", "3")
+    assert (code, out, err) == (1, "", f"plrs: verification failure: {exc}\n")
+
+
+def test_cap_exceeded_still_exits_2(monkeypatch, capsys):
+    import plrs.cli
+
+    def fail(cfg, payload):
+        raise CapExceeded(10, 3)
+
+    monkeypatch.setattr(plrs.cli, "_emit", fail)
+    code, out, err = run(capsys, "--coeffs", "1,1", "seq", "3")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("plrs: error: ") and err.endswith(" (raise --cap or PLRS_ENUM_CAP)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["--coeffs", "1," * 100_000, "seq", "3"], None),
+        (["seq", "3"], {"coefficients": "1," * 100_000}),
+        (["--coeffs", "1,1", "validate", "x" * 150_000], None),
+        (["--coeffs", "1,1", "gauss", "--n-list", "x" * 150_000], None),
+    ],
+    ids=["coeffs-flag", "coeffs-config", "validate", "n_list"],
+)
+def test_long_inputs_give_one_short_error_line(tmp_path, capsys, argv, data):
+    # the message echoes the rejected input; main prints its first 1,000
+    # characters and the full length
+    if data is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("plrs: error: cannot parse ")
+    assert line.endswith(" characters)") and "... (" in line
+    assert len(line) <= len("plrs: error: ") + 1000 + len("... (200028 characters)")
+
+
+@pytest.mark.parametrize("coeffs", ["1,1", "2,2,0,2", "1,2", "3,0,1"])
+def test_verify_window_starts_at_2l_plus_11(capsys, coeffs):
+    # the threshold N exceeds 2L and verify needs N + 10 indices, so 2L + 11
+    # is the smallest n_max it can accept
+    floor = 2 * len(coeffs.split(",")) + 11
+    code, out, err = run(capsys, "--coeffs", coeffs, "verify", "--n-max", str(floor))
+    assert (code, err) == (0, "") and out.endswith("all variance bounds hold\n")
+    code, out, err = run(capsys, "--coeffs", coeffs, "verify", "--n-max", str(floor - 1))
+    assert (code, out) == (2, "")
+    assert err == f"plrs: error: need n_max >= 2L + 11 = {floor}, got {floor - 1}\n"
+    assert run(capsys, "--coeffs", coeffs, "verify", "--n-max", "5")[0] == 2
 
 
 # Per RunConfig field except the subcommand: (value by flag, argv that sets it
@@ -933,3 +1014,38 @@ def test_verify_csv_and_table_bytes(capsys):
     assert lines[-1] == "all variance bounds hold"
     # re-pinned with b_est as the secant intercept; only the b_est token moved
     assert _digest(out) == "20691c7c6c44e5dc"
+
+
+
+def test_csv_and_table_stream_line_by_line(tmp_path):
+    # The writer holds one line at a time, so its traced peak does not grow
+    # with the payload: doubling the rows adds less than a tenth of the
+    # bytes they add to the file.  The text file object itself buffers
+    # about 30 kB, which a small table does not dwarf, so only the csv
+    # (0.85 MB at n_max 600) is also held against its whole size.
+    import tracemalloc
+
+    import plrs.cli
+
+    def peaks_and_sizes(n_max):
+        argv = ["--coeffs", "2,2,0,2", "verify", "--n-max", str(n_max)]
+        cfg = plrs.cli._merge_config(plrs.cli._PARSER.parse_args(argv))
+        _, payload = plrs.cli._cmd_verify(cfg)
+        found = {}
+        for fmt in ("csv", "table"):
+            cfg.format, cfg.output = fmt, str(tmp_path / f"{n_max}.{fmt}")
+            tracemalloc.start()
+            try:
+                plrs.cli._emit(cfg, payload)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            found[fmt] = peak, (tmp_path / f"{n_max}.{fmt}").stat().st_size
+        return found
+
+    small, large = peaks_and_sizes(300), peaks_and_sizes(600)
+    for fmt in ("csv", "table"):
+        (small_peak, small_size), (peak, size) = small[fmt], large[fmt]
+        assert peak - small_peak < (size - small_size) / 10, (fmt, peak, small_peak)
+    peak, size = large["csv"]
+    assert peak < size / 10
