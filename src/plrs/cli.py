@@ -213,10 +213,10 @@ def _joined(lines: Iterable[str]) -> Iterator[str]:
 def _chunks(fmt: str, payload: Payload) -> Iterable[str]:
     """The payload in ``fmt`` as the pieces to write, in order.
 
-    Compact json is one string from the C encoder; indented json is the
-    chunks ``json.dump`` writes.  Csv is the header, one line per row and a
-    final newline; a table is its own lines, or else the csv lines, the
-    footer lines and a final newline.
+    Compact json is one string from the C encoder, which beats streaming;
+    indented json is the chunks ``json.dump`` writes.  Csv is the header,
+    one line per row and a final newline; a table is its own lines, or
+    else the csv lines, the footer lines and a final newline.
     """
     if fmt == "json":
         data = payload.data()
