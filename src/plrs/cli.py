@@ -711,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision-bits", type=int,
         help="mantissa bits for the growth-constant estimates "
-        f"(default 128, at most {MAX_PRECISION_BITS})",
+        f"(default {DEFAULT_PRECISION_BITS}, at most {MAX_PRECISION_BITS})",
     )
     sub = parser.add_subparsers(dest="subcommand")
     for name, command in _SUBCOMMANDS.items():

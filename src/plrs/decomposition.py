@@ -13,11 +13,12 @@ The parse is deterministic: starting at any position, coefficients are
 matched against the prefix ``c_1, c_2, ...`` until the first strict drop
 (type-2 block ends there) or the end of the string (type-1 block).  A
 coefficient above its ``c_i``, or a full ``L``-long match with no drop,
-means the string is illegal at that point.  One scanner, ``_scan``, reads
-the string once, left to right, keeping only j, the position inside the
-current block: a digit below ``c_j`` closes a type-2 block of length
-j + 1, one equal to it moves j on (j reaching L fails), one above it
-fails, and a non-zero j at the end closes a type-1 block of length j.
+means the string is illegal at that point.  One scanner, ``_scan``,
+applies the integer-entry rule and then reads the string once, left to
+right, keeping only j, the position inside the current block: a digit
+below ``c_j`` closes a type-2 block of length j + 1, one equal to it
+moves j on (j reaching L fails), one above it fails, and a non-zero j at
+the end closes a type-1 block of length j.
 Legality checks read only its verdict and collect nothing per block.
 :func:`parse_blocks` asks it for the length of every block;
 :func:`second_to_last_block_size` and the block surgery read the last two
@@ -85,14 +86,18 @@ def _failure(coeffs, reason: str, position: int | None) -> LegalityResult:
 
 
 def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=None):
-    """Split ``coeffs`` into blocks; the one parse every reader shares.
+    """Split ``coeffs`` into blocks; the one verdict every front door applies.
 
-    Returns None when the string parses and the failing
-    :class:`LegalityResult` otherwise, its position a 0-based index into
-    ``coeffs``.  ``coeffs`` is a tuple or a list.  When ``lengths`` is a
-    list, the length of each block is appended to it, left to right;
-    verdict readers pass none and collect nothing.
+    The integer-entry rule comes first, then the parse.  Returns None when
+    the string parses and the failing :class:`LegalityResult` otherwise,
+    its position a 0-based index into ``coeffs``.  ``coeffs`` is a tuple or
+    a list.  When ``lengths`` is a list, the length of each block is
+    appended to it, left to right; verdict readers pass none and collect
+    nothing.
     """
+    i = _first_non_integer(coeffs)
+    if i is not None:
+        return LegalityResult(False, "non-integer coefficient", i)
     n = len(coeffs)
     if n == 0:
         return LegalityResult(False, "empty coefficient string", None)
@@ -131,16 +136,6 @@ def _scan(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=
     return None
 
 
-def _check(spec: RecurrenceSpec, coeffs, require_positive_leading: bool, lengths=None):
-    """The verdict every front door applies: the integer-entry rule, then
-    :func:`_scan` (which fills ``lengths`` when given).  Returns None when
-    the string parses and the failing :class:`LegalityResult` otherwise."""
-    i = _first_non_integer(coeffs)
-    if i is not None:
-        return LegalityResult(False, "non-integer coefficient", i)
-    return _scan(spec, coeffs, require_positive_leading, lengths)
-
-
 def _illegal(failure: LegalityResult) -> IllegalDecomposition:
     """The error for a failed scan: its reason and, if known, position."""
     where = f" (position {failure.position})" if failure.position is not None else ""
@@ -150,7 +145,7 @@ def _illegal(failure: LegalityResult) -> IllegalDecomposition:
 def _block_lengths(spec: RecurrenceSpec, coeffs) -> list[int]:
     """Block lengths of a string that must parse (leading zeros allowed)."""
     lengths: list[int] = []
-    failure = _check(spec, coeffs, False, lengths)
+    failure = _scan(spec, coeffs, False, lengths)
     if failure is not None:
         raise _illegal(failure)
     return lengths
@@ -185,7 +180,7 @@ def is_legal(spec: RecurrenceSpec, coefficients) -> LegalityResult:
     """
     if not isinstance(coefficients, (tuple, list)):
         coefficients = list(coefficients)
-    failure = _check(spec, coefficients, True)
+    failure = _scan(spec, coefficients, True)
     return failure if failure is not None else _LEGAL
 
 
@@ -213,7 +208,7 @@ class Decomposition:
         coeffs = self.coefficients
         if not isinstance(coeffs, (tuple, list)):
             coeffs = tuple(coeffs)
-        failure = _check(self.spec, coeffs, require_proper)
+        failure = _scan(self.spec, coeffs, require_proper)
         if failure is not None:
             raise _illegal(failure)
         object.__setattr__(self, "coefficients", tuple(map(int, coeffs)))

@@ -41,7 +41,7 @@ from .errors import (
     PlrsError,
     SizeOutOfRange,
 )
-from .recurrence import RecurrenceSpec, SequenceTable, block_catalog
+from .recurrence import RecurrenceSpec, SequenceTable, _runs, block_catalog
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -95,17 +95,18 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
 
     def choices(remaining: int) -> list[tuple[tuple[int, ...], int]]:
         """The (block, size) pairs that can start a rest of this length, in
-        walk order."""
+        walk order: by size, the type-1 block last, since its size
+        ``c_1 + ... + c_r`` is above that of every type-2 block of length
+        at most r."""
         out = []
-        for t in range(spec.size):
+        for t, block in enumerate(catalog.type2_by_size):
             if lengths[t] > remaining:
                 break  # lengths are non-decreasing in t
-            out.append((t, 2, catalog.type2_by_size[t].coefficients))
+            out.append((block.coefficients, t))
         if 1 <= remaining < L:
             block = catalog.type1_blocks[remaining - 1]
-            out.append((block.size, 1, block.coefficients))
-        out.sort()
-        return [(block, t) for t, _, block in out]
+            out.append((block.coefficients, block.size))
+        return out
 
     # The walk order of every rest length, built once per call.
     orders = [None] + [choices(r) for r in range(1, n + 1)]
@@ -238,21 +239,20 @@ def _require_three_blocks(spec: RecurrenceSpec, n: int) -> None:
         raise IndexTooSmall(f"need n > 2L = {2 * spec.length}, got {n}")
 
 
-def _by_length(lengths: tuple[int, ...]) -> tuple:
-    """The type-2 sizes grouped by block length, shortest first.
+def _by_length(spec: RecurrenceSpec) -> tuple:
+    """The power sums of the type-2 sizes of each block length, shortest
+    first.
 
-    Per length l: ``(l, (sum t^0, ..., sum t^4), weights)`` over the sizes
-    t of length l.  Prepending a block of size t to a string of k summands
-    gives k + t summands, and ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``, so
-    summed over the sizes of one length the raw sums of the shorter tail
-    enter ``A_j`` with weight ``C(j, i) * sum_t t^(j-i)``; ``weights`` holds
-    the non-zero ones as ``(j, i, weight)``.
+    Per length l with a run of sizes: ``(l, (sum t^0, ..., sum t^4),
+    weights)`` over the sizes t of length l.  Prepending a block of size t
+    to a string of k summands gives k + t summands, and
+    ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``, so summed over the sizes of
+    one length the raw sums of the shorter tail enter ``A_j`` with weight
+    ``C(j, i) * sum_t t^(j-i)``; ``weights`` holds the non-zero ones as
+    ``(j, i, weight)``.
     """
-    groups: dict[int, list[int]] = {}
-    for t, ell in enumerate(lengths):
-        groups.setdefault(ell, []).append(t)
     out = []
-    for ell, sizes in sorted(groups.items()):
+    for ell, sizes in _runs(spec.coefficients):
         power = tuple(sum(t**m for t in sizes) for m in range(5))
         weights = tuple(
             (j, i, comb(j, i) * power[j - i])
@@ -298,6 +298,11 @@ class SummandTable:
     of size 0 (length 1, no summand), followed by any tail of length n - 1,
     or it is an outcome.
 
+    The table reads the type-2 sizes as runs, one per block length l with
+    ``c_l > 0``: the sizes ``sigma_{l-1} <= t < sigma_l``, where
+    ``sigma_l = c_1 + ... + c_l`` and ``s_r = sigma_r``.  It builds no
+    block and no per-size table, so the block catalog is never made here.
+
     Statistics never build these polynomials.  The table keeps, per tail
     length r, the five integer raw-moment sums
     ``A_j(r) = sum_k k^j [x^k] Q_r`` (j = 0..4), which obey the same
@@ -339,8 +344,7 @@ class SummandTable:
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        self.catalog = block_catalog(spec)
-        self._by_length = _by_length(self.catalog.length_table)
+        self._by_length = _by_length(spec)
         self._moments: list[tuple[int, ...]] = [(1, 0, 0, 0, 0)]
 
     def extend(self, n: int) -> None:
@@ -356,7 +360,7 @@ class SummandTable:
                 for j, i, w in weights:
                     acc[j] += w * row[i]
             if r < self.spec.length:
-                size = self.catalog.type1_blocks[r - 1].size
+                size = sum(self.spec.coefficients[:r])
                 acc = [a + size**j for j, a in enumerate(acc)]
             rows.append(tuple(acc))
 
@@ -365,7 +369,10 @@ class SummandTable:
         ``Q_0`` on each call."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        L, B, lengths = self.spec.length, _SLOT_STEP, self.catalog.length_table
+        c, B = self.spec.coefficients, _SLOT_STEP
+        L = len(c)
+        runs = list(_runs(c))
+        runs[0] = (1, runs[0][1][1:])  # size 0 enters each step as Q_{r-1}
         # Q_r(1) = H_{r+1}; only its bit length is kept through the loop.
         bits = [h.bit_length() for h in SequenceTable(self.spec).terms(n + 1)]
         tails = [1]  # Q_r(2^B) of the last L lengths r
@@ -378,13 +385,13 @@ class SummandTable:
                 del q  # the last old tail
                 B = width
             acc = tails[-1] if r < n else 0  # at n the sum is P_n itself
-            for t in range(1, self.spec.size):
-                ell = lengths[t]
+            for ell, sizes in runs:
                 if ell > r:
-                    break  # lengths are non-decreasing in t
-                acc += tails[-ell] << t * B
+                    break
+                for t in sizes:
+                    acc += tails[-ell] << t * B
             if r < L:
-                acc += 1 << self.catalog.type1_blocks[r - 1].size * B
+                acc += 1 << sum(c[:r]) * B
             tails.append(acc)
             del tails[:-L]
         slots = _slots(acc, B)
@@ -563,7 +570,7 @@ def conditional_mean_check(
         raise EmptyConditionalEvent(f"no outcome at n={n} has block size {t}")
     lhs = Fraction(tally[t][moment], count)
 
-    r = n - engine.catalog.length_of(t)
+    r = n - block_catalog(spec).length_of(t)
     if moment == 1:
         rhs = engine.mean(r) + t
     else:

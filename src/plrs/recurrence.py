@@ -24,7 +24,7 @@ kinds of blocks over the coefficient alphabet:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from operator import mul
@@ -231,12 +231,7 @@ class BlockCatalog:
     spec: RecurrenceSpec
     type1_blocks: tuple[Block, ...]
     type2_by_size: tuple[Block, ...]
-    length_table: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "length_table", tuple(b.length for b in self.type2_by_size)
-        )
+    length_table: tuple[int, ...]
 
     def length_of(self, t: int) -> int:
         """Length of the type-2 block of size ``t``."""
@@ -247,29 +242,43 @@ class BlockCatalog:
         return self.length_table[t]
 
 
+def _runs(coefficients: tuple[int, ...]) -> tuple[tuple[int, range], ...]:
+    """The type-2 block sizes by length: ``(s, range(sigma_{s-1}, sigma_s))``
+    for each length s with ``c_s > 0``, shortest first.
+
+    The block ``(c_1, ..., c_{s-1}, a)`` has size ``sigma_{s-1} + a`` for
+    ``0 <= a < c_s``, with ``sigma_s = c_1 + ... + c_s``; together the runs
+    cover ``0 <= t < S`` once, in increasing order.
+    """
+    runs = []
+    total = 0
+    for s, cs in enumerate(coefficients, start=1):
+        if cs:
+            runs.append((s, range(total, total + cs)))
+        total += cs
+    return tuple(runs)
+
+
 @cache
 def block_catalog(spec: RecurrenceSpec) -> BlockCatalog:
     """Enumerate every block of the spec.  Cached per spec.
 
-    For each size ``t`` the type-2 block is found by walking the coefficient
-    prefix sums: the block ends at the first index s with ``c_s > 0`` and
-    ``t - (c_1 + ... + c_{s-1}) < c_s``.  Indices with ``c_s = 0`` can never
-    end a block (nothing is strictly below zero), which is why e.g. a zero
-    in the middle of the coefficients is always copied verbatim.
+    The type-2 blocks and the size-to-length table are built run by run
+    from ``_runs``: the run of length s holds the blocks
+    ``(c_1, ..., c_{s-1}, a)`` for ``a = 0, ..., c_s - 1``.  A length with
+    ``c_s = 0`` has no run, since nothing is strictly below zero, which is
+    why e.g. a zero in the middle of the coefficients is always copied
+    verbatim.
     """
     c = spec.coefficients
+    runs = _runs(c)
     type1 = tuple(
         Block(BlockKind.TYPE1, c[:m]) for m in range(1, spec.length)
     )
-    type2 = []
-    for t in range(spec.size):
-        cum = 0
-        for s, cs in enumerate(c, start=1):
-            if cs > 0 and t - cum < cs:
-                type2.append(Block(BlockKind.TYPE2, c[: s - 1] + (t - cum,)))
-                break
-            cum += cs
-        else:  # pragma: no cover - prefix sums reach S > t, so unreachable
-            raise AssertionError(f"no block terminates size {t}")
-    return BlockCatalog(spec, type1, tuple(type2))
-
+    type2 = tuple(
+        Block(BlockKind.TYPE2, c[: s - 1] + (a,))
+        for s, _ in runs
+        for a in range(c[s - 1])
+    )
+    lengths = tuple(s for s, sizes in runs for _ in sizes)
+    return BlockCatalog(spec, type1, type2, lengths)

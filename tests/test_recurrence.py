@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
 
 from plrs import (
+    Block,
     BlockKind,
     DegenerateRecurrence,
     EmptyCoefficients,
@@ -15,7 +17,8 @@ from plrs import (
     validate_spec,
 )
 
-from conftest import FIXTURE_COEFFS
+from conftest import FIXTURE_COEFFS, RANDOM_SPECS
+from test_spec_box import SPEC_BOX
 
 
 # -- validation --------------------------------------------------------------
@@ -206,3 +209,45 @@ def test_length_one_spec_has_no_type1_blocks():
     cat = block_catalog(validate_spec((4,)))
     assert cat.type1_blocks == ()
     assert cat.length_table == (1, 1, 1, 1)
+
+
+# -- the per-size prefix walk, kept as the reference for the catalog's runs ----
+
+def _reference_catalog(spec):
+    """The type-1 blocks, the type-2 blocks by size and the length table,
+    walking the coefficient prefix sums for every size t: its block ends at
+    the first s with ``c_s > 0`` and ``t - (c_1 + ... + c_{s-1}) < c_s``."""
+    c = spec.coefficients
+    type1 = tuple(Block(BlockKind.TYPE1, c[:m]) for m in range(1, spec.length))
+    type2 = []
+    for t in range(spec.size):
+        cum = 0
+        for s, cs in enumerate(c, start=1):
+            if cs > 0 and t - cum < cs:
+                type2.append(Block(BlockKind.TYPE2, c[: s - 1] + (t - cum,)))
+                break
+            cum += cs
+    return type1, tuple(type2), tuple(b.length for b in type2)
+
+
+def _assert_catalog_matches_reference(coeffs):
+    spec = validate_spec(coeffs)
+    cat = block_catalog(spec)
+    type1, type2, lengths = _reference_catalog(spec)
+    assert cat.type1_blocks == type1, coeffs
+    assert cat.type2_by_size == type2, coeffs
+    assert cat.length_table == lengths, coeffs
+    assert [cat.length_of(t) for t in range(spec.size)] == list(lengths), coeffs
+    for t in (-1, spec.size):
+        with pytest.raises(SizeOutOfRange):
+            cat.length_of(t)
+
+
+@given(RANDOM_SPECS)
+def test_catalog_matches_prefix_walk_on_random_specs(coeffs):
+    _assert_catalog_matches_reference(coeffs)
+
+
+def test_catalog_matches_prefix_walk_on_the_spec_box():
+    for coeffs in SPEC_BOX:
+        _assert_catalog_matches_reference(coeffs)

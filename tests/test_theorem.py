@@ -16,6 +16,7 @@ from plrs import (
     SpecMismatch,
     SummandTable,
     WindowTooSmall,
+    block_catalog,
     compute_c,
     estimate_growth,
     find_threshold_N,
@@ -356,7 +357,7 @@ def test_removal_identities_match_size_by_size_reference(coeffs):
         assert lhs1 == rhs1 and lhs2 == rhs2, n
         assert (rhs1, rhs2) == _reference_removal_moments(spec, n, engine, table), n
         rows = engine.removal_rows(n)
-        lengths = engine.catalog.length_table
+        lengths = block_catalog(spec).length_table
         assert [r for *_, r in rows] == sorted({n - ell for ell in lengths}, reverse=True)
         c0 = sum(k * (table.term(r + 1) - table.term(r)) for k, _, _, r in rows)
         assert c0 == table.term(n + 1) - table.term(n), n
