@@ -89,27 +89,19 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
     ``z`` is the size of the second-to-last block, the block appended just
     before the last one, or None for a single-block string.
     """
-    catalog = block_catalog(spec)
-    lengths = catalog.length_table
-    L = spec.length
+    c, L = spec.coefficients, spec.length
+    type2 = block_catalog(spec).type2_by_size
+    pairs = [(block.coefficients, t) for t, block in enumerate(type2)]
 
-    def choices(remaining: int) -> list[tuple[tuple[int, ...], int]]:
-        """The (block, size) pairs that can start a rest of this length, in
-        walk order: by size, the type-1 block last, since its size
-        ``c_1 + ... + c_r`` is above that of every type-2 block of length
-        at most r."""
-        out = []
-        for t, block in enumerate(catalog.type2_by_size):
-            if lengths[t] > remaining:
-                break  # lengths are non-decreasing in t
-            out.append((block.coefficients, t))
-        if 1 <= remaining < L:
-            block = catalog.type1_blocks[remaining - 1]
-            out.append((block.coefficients, block.size))
-        return out
-
-    # The walk order of every rest length, built once per call.
-    orders = [None] + [choices(r) for r in range(1, n + 1)]
+    # The walk order of every rest length r, built once per call.  For
+    # r >= L every pair fits, and the list is shared.  For r < L the type-2
+    # blocks of length at most r are the sizes below s = c_1 + ... + c_r,
+    # the first s pairs, and the type-1 block (c_1, ..., c_r) of size s
+    # comes after them.
+    orders = [None] + [pairs] * n
+    for r in range(1, min(n + 1, L)):
+        s = sum(c[:r])
+        orders[r] = pairs[:s] + [(c[:r], s)]
 
     # Depth-first over the block sequence with an explicit stack, so deep
     # strings (a long run of short blocks) never hit the recursion limit.
@@ -277,6 +269,17 @@ def _slots(packed: int, bits: int) -> Iterator[bytes]:
     return (data[i : i + width] for i in range(0, size, width))
 
 
+def _spread(q: int, k: int, B: int) -> int:
+    """``k`` copies of the packed polynomial ``q``, one ``B``-bit slot
+    apart: ``q * (1 + 2^B + ... + 2^((k-1)*B))``, by doubling, in
+    O(log k) shift-adds (k - 1 of them for k <= 3), for k >= 1."""
+    if k == 1:
+        return q
+    half = _spread(q, k // 2, B)
+    out = half + (half << k // 2 * B)
+    return out + (q << (k - 1) * B) if k & 1 else out
+
+
 class SummandTable:
     """Exact summand-count statistics of every index, by block grammar.
 
@@ -323,23 +326,28 @@ class SummandTable:
     ``Q_r`` reads only ``Q_{r-1}, ..., Q_{r-L}``), and the table keeps
     none of them.  Each tail is one non-negative integer, ``Q_r(2^B)``
     (Kronecker substitution): coefficient k fills the B-bit slot k, so
-    ``x^t Q`` is ``Q << t*B`` and the recurrence is one big-integer shift
-    and add per size:
+    ``x^t Q`` is ``Q << t*B``.  The sizes of one length l form a run of
+    k consecutive integers from t_0, so their terms add up to
+    ``_spread(Q_{r-l}, k, B) << t_0*B``: k copies of the tail one slot
+    apart, built by doubling.  Each step is one big-integer term per run,
+    at O(log k) shift-adds, which is one shift-add per size for runs of
+    at most 3 sizes:
 
-        Q_r = Q_{r-1} + sum over t >= 1 with len(t) <= r of
-                            Q_{r-len(t)} << t*B
+        Q_r = Q_{r-1} + sum over runs (l, t_0, k) with l <= r of
+                            _spread(Q_{r-l}, k, B) << t_0*B
               + 1 << s_r*B   (only if r < L)
 
-    The sum over t >= 1 at n is ``P_n`` itself, which :meth:`polynomial`
-    unpacks slot by slot, with no subtraction.  All terms are
-    non-negative, so every coefficient and partial sum of ``Q_r`` is at
-    most the tail count ``Q_r(1) = H_{r+1}``.  The bit lengths of
-    ``H_1, ..., H_{n+1}`` are read once before the loop, and each step
-    widens B, in whole steps of ``_SLOT_STEP`` bits, to the bit length of
-    its count, re-slotting the held tails one at a time when it grows.  A
-    call holds O(n^2) bits, but a fixed slot width spends the full B bits
-    on the thin outer coefficients too, up to about twice the bits the
-    coefficients themselves need.
+    Size 0, the ``[0]`` block, enters as ``Q_{r-1}``, so the first run
+    starts at size 1.  The sum over the runs at n is ``P_n`` itself, which
+    :meth:`polynomial` unpacks slot by slot, with no subtraction.  All
+    terms are non-negative, so every coefficient and partial sum of
+    ``Q_r`` is at most the tail count ``Q_r(1) = H_{r+1}``.  The bit
+    lengths of ``H_1, ..., H_{n+1}`` are read once before the loop, and
+    each step widens B, in whole steps of ``_SLOT_STEP`` bits, to the bit
+    length of its count, re-slotting the held tails one at a time when it
+    grows.  A call holds O(n^2) bits, but a fixed slot width spends the
+    full B bits on the thin outer coefficients too, up to about twice the
+    bits the coefficients themselves need.
     """
 
     def __init__(self, spec: RecurrenceSpec):
@@ -371,8 +379,9 @@ class SummandTable:
             raise ValueError("n must be >= 1")
         c, B = self.spec.coefficients, _SLOT_STEP
         L = len(c)
-        runs = list(_runs(c))
-        runs[0] = (1, runs[0][1][1:])  # size 0 enters each step as Q_{r-1}
+        # Size 0 enters each step as Q_{r-1}: the first run starts at 1, and
+        # goes when c_1 = 1.
+        runs = [(ell, range(s.start or 1, s.stop)) for ell, s in _runs(c) if s.stop > 1]
         # Q_r(1) = H_{r+1}; only its bit length is kept through the loop.
         bits = [h.bit_length() for h in SequenceTable(self.spec).terms(n + 1)]
         tails = [1]  # Q_r(2^B) of the last L lengths r
@@ -388,8 +397,7 @@ class SummandTable:
             for ell, sizes in runs:
                 if ell > r:
                     break
-                for t in sizes:
-                    acc += tails[-ell] << t * B
+                acc += _spread(tails[-ell], len(sizes), B) << sizes.start * B
             if r < L:
                 acc += 1 << sum(c[:r]) * B
             tails.append(acc)
@@ -493,12 +501,12 @@ def z_distribution(
     """
     _require_three_blocks(spec, n)
     table = table if table is not None else SequenceTable(spec)
-    catalog = block_catalog(spec)
     omega = table.term(n + 1) - table.term(n)
-    probs = tuple(
-        Fraction(table.term(n - ell + 1) - table.term(n - ell), omega)
-        for ell in catalog.length_table
-    )
+    probs, lengths = [], []  # one fraction per block length, shared by its sizes
+    for ell, sizes in _runs(spec.coefficients):
+        prob = Fraction(table.term(n - ell + 1) - table.term(n - ell), omega)
+        probs += [prob] * len(sizes)
+        lengths += [ell] * len(sizes)
     counts = None
     if cross_check or (cross_check is None and omega <= cap):
         # enumeration is decided here, and a forced check ignores the cap
@@ -509,7 +517,7 @@ def z_distribution(
                 f"empirical second-to-last block tally at n={n} disagrees "
                 "with the closed form"
             )
-    return ZDistribution(n, probs, catalog.length_table, omega, counts)
+    return ZDistribution(n, tuple(probs), tuple(lengths), omega, counts)
 
 
 def conditional_tally(

@@ -474,7 +474,7 @@ def verify_variance_bound(
 
     v2, v1, v0 = (row.variance for row in per_n[-3:])
     last_diff, prev_diff = v0 - v1, v1 - v2
-    slope_C_est = round_to_bits(last_diff, precision_bits) if last_diff else Fraction(0)
+    slope_C_est = round_to_bits(last_diff, precision_bits)
     slope_tolerance = 10 * abs(last_diff - prev_diff) + Fraction(
         1, 2 ** max(precision_bits - 8, 1)
     )

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import plrs.ensemble
 from plrs import (
@@ -74,6 +74,10 @@ def test_enumerators_agree(fixture_spec):
 
 
 @given(RANDOM_SPECS)
+@example((9,))  # RANDOM_SPECS has c_i <= 4; these hold runs of 5 to 12 sizes
+@example((1, 7))
+@example((5, 0, 6))
+@example((2, 12, 1))
 def test_enumerators_agree_on_random_specs(coeffs):
     # Every index whose space holds at most 500 outcomes.
     spec = validate_spec(coeffs)
@@ -343,6 +347,10 @@ def test_reference_polynomial_goldens(fib):
 
 
 @given(RANDOM_SPECS)
+@example((9,))  # RANDOM_SPECS has c_i <= 4; these hold runs of 5 to 12 sizes
+@example((1, 7))
+@example((5, 0, 6))
+@example((2, 12, 1))
 def test_packed_polynomial_matches_the_list_oracle(coeffs):
     spec = validate_spec(coeffs)
     engine = SummandTable(spec)
@@ -425,9 +433,10 @@ def _no_block_catalog(spec):
     "coeffs", [*FIXTURE_COEFFS, (1, 99999)], ids=lambda c: ",".join(map(str, c))
 )
 def test_statistics_build_no_block_catalog(coeffs, monkeypatch):
-    # The moment engine reads the size runs, never a per-size block: on
-    # (1, 99999), S = 10^5, the catalog made 10^5 blocks per table.  Each
-    # module that holds the name gets the raising stand-in.
+    # The moment engine and the closed-form z-distribution read the size
+    # runs, never a per-size block: on (1, 99999), S = 10^5, the catalog
+    # made 10^5 blocks per table.  Each module that holds the name gets the
+    # raising stand-in.
     for name, module in list(sys.modules.items()):
         if name.startswith("plrs") and hasattr(module, "block_catalog"):
             monkeypatch.setattr(module, "block_catalog", _no_block_catalog)
@@ -437,13 +446,28 @@ def test_statistics_build_no_block_catalog(coeffs, monkeypatch):
     n = 2 * spec.length + 11
     assert engine.stats(n).cardinality == table.term(n + 1) - table.term(n)
     assert sum(k for k, *_ in engine.removal_rows(n)) == spec.size
-    m = 30 if spec.size < 10 else 1  # a histogram walks every size once per step
+    assert sum(z_distribution(spec, n, table=table, cross_check=False).probs) == 1
+    m = 30 if spec.size < 10 else 1  # P_m of (1, 99999) spans about m * S / 2 slots
     assert engine.polynomial(m).total == table.term(m + 1) - table.term(m)
     assert verify_variance_bound(engine, n + 20).all_pass
     assert len(gaussian_diagnostics(engine, [n, n + 1])) == 2
     for identity in (first_moment_identity, second_moment_identity):
         lhs, rhs = identity(engine, n)
         assert lhs == rhs
+
+
+def test_histogram_steps_once_per_run_of_sizes():
+    # Base 10^5: one run of 10^5 sizes.  Adding one shifted tail per size
+    # re-added the whole accumulator each time, about 22 s for P_1 alone.
+    b = 10**5
+    spec = validate_spec((b,))
+    engine, table = SummandTable(spec), SequenceTable(spec)
+    assert engine.polynomial(1).coeffs == (0,) + (1,) * (b - 1)
+    poly = engine.polynomial(2)
+    assert poly.total == table.term(3) - table.term(2)
+    # k summands: the digit pairs d_1 + d_2 = k with 1 <= d_1 < b, 0 <= d_2 < b.
+    pairs = (min(k, b - 1) - max(1, k - b + 1) + 1 for k in range(2 * b - 1))
+    assert poly.coeffs == tuple(pairs)
 
 
 def test_a_table_keeps_nothing_after_a_histogram(fixture_spec):
