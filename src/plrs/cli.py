@@ -37,7 +37,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .decomposition import (
@@ -332,8 +332,8 @@ def _cmd_blocks(cfg: RunConfig) -> tuple[int, Payload]:
     def text():
         return [
             f"recurrence {spec} (size S={spec.size}, length L={spec.length})",
-            "type-1 blocks: " + (" ".join(str(b) for b in cat.type1_blocks) or "(none)"),
-            "type-2 blocks: " + " ".join(str(b) for b in cat.type2_by_size),
+            "type-1 blocks: " + (" ".join(map(str, cat.type1_blocks)) or "(none)"),
+            "type-2 blocks: " + " ".join(map(str, cat.type2_by_size)),
             "size -> length: "
             + "  ".join(f"{t}:{l}" for t, l in enumerate(cat.length_table)),
         ]
@@ -347,13 +347,13 @@ def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
     table = SequenceTable(spec)
     d = decompose(table, cfg.n)
     blocks = parse_blocks(spec, d)
-    indices = []
-    for i, a in enumerate(d.coefficients):
-        indices.extend([d.m - i] * a)
+    m = d.m
+    # index m - i once per unit of the digit a_{i+1}, largest index first
+    indices = list(chain.from_iterable(map(repeat, range(m, 0, -1), d.coefficients)))
 
     def text():
         summed = " + ".join(
-            (f"{a}*H_{d.m - i}" if a > 1 else f"H_{d.m - i}")
+            (f"{a}*H_{m - i}" if a > 1 else f"H_{m - i}")
             for i, a in enumerate(d.coefficients)
             if a
         )

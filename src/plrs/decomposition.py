@@ -33,6 +33,7 @@ integer to the next that way.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from itertools import accumulate
 from operator import length_hint
 
 from .errors import (
@@ -240,7 +241,7 @@ class Decomposition:
 
     def to_text(self) -> str:
         """Space-separated coefficients, most significant first."""
-        return " ".join(str(a) for a in self.coefficients)
+        return " ".join(map(str, self.coefficients))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -260,7 +261,7 @@ class BlockParse:
         return tuple(out)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.blocks)
+        return "".join(map(str, self.blocks))
 
 
 def _greedy(
@@ -274,18 +275,25 @@ def _greedy(
     worth ``prefix`` and end in block state j.  When given, ``states`` and
     ``prefixes`` receive the state before each new position and the value
     of the digits before it, so that a later call can resume at any of them.
+    A position whose weight exceeds the remainder takes a zero digit with
+    one comparison and no big-int arithmetic; it continues the block where
+    ``c_j = 0`` and closes it elsewhere.
     """
     rem = m - prefix
     for w in weights[len(digits):]:
         if states is not None:
             states.append(j)
             prefixes.append(m - rem)
-        a = rem // w if rem >= w else 0
-        if a >= c[j]:
-            a, j = c[j], j + 1
+        if rem < w:
+            a = 0
+            j = 0 if c[j] else j + 1
         else:
-            j = 0
-        rem -= a * w
+            a = rem // w
+            if a >= c[j]:
+                a, j = c[j], j + 1
+            else:
+                j = 0
+            rem -= a * w
         digits.append(a)
     assert rem == 0  # the legal length-r tails cover [0, H_{r+1}) exactly
 
@@ -322,22 +330,25 @@ def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
 
     Every block but a closing type-1 one ends on a strict drop, so a block
     is type 2 exactly when its last coefficient is below its ``c_i``.  Each
-    block is the catalog's own: a type-2 block is the one of its size, a
-    type-1 block the one of its length.
+    block is the catalog's own: a type-2 block of length l is the one of
+    size ``sigma_{l-1} + a`` (``sigma_r = c_1 + ... + c_r``, a its last
+    digit), a type-1 block the one of its length.
     """
     c = spec.coefficients
     a = d.coefficients
     catalog = block_catalog(spec)
+    type2 = catalog.type2_by_size
+    sigma = (0, *accumulate(c))
     blocks = []
-    start = 0
+    end = 0
     for length in _decomposition_lengths(spec, d):
-        run = a[start:start + length]
+        end += length
+        last = a[end - 1]
         blocks.append(
-            catalog.type2_by_size[sum(run)]
-            if run[-1] < c[length - 1]
+            type2[sigma[length - 1] + last]
+            if last < c[length - 1]
             else catalog.type1_blocks[length - 1]
         )
-        start += length
     return BlockParse(tuple(blocks))
 
 

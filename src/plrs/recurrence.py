@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from operator import mul
 
 from .errors import (
@@ -71,7 +71,7 @@ class RecurrenceSpec:
         return sum(self.coefficients)
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coefficients)
+        return ",".join(map(str, self.coefficients))
 
     @classmethod
     def from_text(cls, text: str) -> "RecurrenceSpec":
@@ -138,6 +138,9 @@ class SequenceTable:
 
     The table extends itself on demand and never mutates already-computed
     terms, so concurrent readers are safe once an extension has finished.
+    One growth loop, ``_grow``, serves :meth:`extend` and
+    :meth:`extend_beyond`; past the ramp each term is one C-level dot
+    product of the reversed coefficients with the last L terms.
     """
 
     def __init__(self, spec: RecurrenceSpec, n: int = 1):
@@ -147,15 +150,20 @@ class SequenceTable:
 
     def extend(self, n: int) -> None:
         """Ensure terms up to ``H_n`` are cached."""
+        self._grow(n, 0)
+
+    def _grow(self, n: int, value: int) -> None:
+        """Append terms until the table holds ``H_n`` and its last term
+        exceeds ``value``."""
         c = self.spec.coefficients
-        L = self.spec.length
+        L = len(c)
         H = self._terms
-        while len(H) < n:
-            k = len(H)  # about to compute H_{k+1}
-            if k < L:
-                H.append(sum(c[i] * H[k - 1 - i] for i in range(k)) + 1)
-            else:
-                H.append(sum(c[i] * H[k - 1 - i] for i in range(L)))
+        # the ramp: H_{k+1} = c_1 H_k + ... + c_k H_1 + 1 for k < L
+        while len(H) < L and (len(H) < n or H[-1] <= value):
+            H.append(sum(map(mul, c, reversed(H))) + 1)
+        reversed_c = c[::-1]  # H_{k+1} = c_L H_{k+1-L} + ... + c_1 H_k
+        while len(H) < n or H[-1] <= value:
+            H.append(sum(map(mul, reversed_c, H[-L:])))
 
     def term(self, i: int) -> int:
         """Return ``H_i`` (1-indexed), extending the cache if needed."""
@@ -184,15 +192,13 @@ class SequenceTable:
         """Grow the table until ``H_{n+1} > value``; return that n.
 
         n is then the index of the largest term at or below ``value``
-        (terms are strictly increasing, so a bisection finds it).
+        (terms are strictly increasing, so a bisection finds it).  A table
+        grown from a shorter one ends at ``H_{n+1}``.
         """
         if value < 1:
             raise ValueError("value must be >= 1")
-        while self._terms[-1] <= value:
-            self.extend(len(self._terms) + 8)
-        n = bisect_right(self._terms, value)
-        self.extend(n + 1)
-        return n
+        self._grow(0, value)
+        return bisect_right(self._terms, value)
 
 
 class BlockKind(Enum):
@@ -202,7 +208,13 @@ class BlockKind(Enum):
 
 @dataclass(frozen=True)
 class Block:
-    """One block of a digit string: its kind and coefficient run."""
+    """One block of a digit string: its kind and coefficient run.
+
+    Its text ``[c_1 c_2 ...]`` is rendered on first use and kept, so the
+    catalog's blocks, which every parse shares, render once each.  The
+    text is not a field: equality, hash and repr read the kind and the
+    coefficients only.
+    """
 
     kind: BlockKind
     coefficients: tuple[int, ...]
@@ -215,8 +227,12 @@ class Block:
     def length(self) -> int:
         return len(self.coefficients)
 
+    @cached_property
+    def _text(self) -> str:
+        return "[" + " ".join(map(str, self.coefficients)) + "]"
+
     def __str__(self) -> str:
-        return "[" + " ".join(str(c) for c in self.coefficients) + "]"
+        return self._text
 
 
 @dataclass(frozen=True)

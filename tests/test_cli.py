@@ -627,6 +627,7 @@ DIGEST_COMMANDS = {
     "seq": ["seq", "12"],
     "blocks": ["blocks"],
     "decompose": ["decompose", "1000"],
+    "decompose_300": ["decompose", str(3**628)],  # a 300-digit m, as query_mix sends
     "validate": ["validate", "1 0 1"],
     "validate_illegal": ["validate", "9 0 9"],
     "enumerate": ["enumerate", "6"],
@@ -639,6 +640,7 @@ DIGEST_COMMANDS = {
     "verify": ["verify", "--n-max", "60"],
     "gauss": ["gauss", "--n-list", "20,40"],
     "sample": ["sample", "30", "--samples", "5", "--seed", "7"],
+    "sample_300": ["sample", "300", "--samples", "20", "--seed", "7"],
 }
 
 
@@ -687,7 +689,9 @@ def command_digests(command: str) -> dict:
 
 # Recorded from the payloads written before the CLI moved to a single emitter,
 # except the `1,1` and `2,2,0,2` json `verify` digests: those were re-pinned
-# when b_est became the secant intercept of the last two means.
+# when b_est became the secant intercept of the last two means.  The
+# `decompose_300` and `sample_300` digests were recorded before term growth
+# became one loop and each catalog block kept its text.
 DIGESTS = {
     'seq': {
         ('1,1', 'table'): (0, 'caf64539e7cd49dd'),
@@ -730,6 +734,20 @@ DIGESTS = {
         ('3,0,1', 'table'): (0, '986b6442bd5c6588'),
         ('3,0,1', 'csv'): (0, 'c7d26fc81f98cd02'),
         ('3,0,1', 'json'): (0, '923ee0071f35b51a'),
+    },
+    'decompose_300': {
+        ('1,1', 'table'): (0, '72ef082b5d285ff7'),
+        ('1,1', 'csv'): (0, '0a3ad813961c203a'),
+        ('1,1', 'json'): (0, 'f8e4fac32b33fbde'),
+        ('2,2,0,2', 'table'): (0, '5cd5dd0458e322ec'),
+        ('2,2,0,2', 'csv'): (0, '506501f236f62e9a'),
+        ('2,2,0,2', 'json'): (0, '513827f3f0b1034a'),
+        ('1,2', 'table'): (0, '23f11c9b7cb13f87'),
+        ('1,2', 'csv'): (0, '9239900745b263e1'),
+        ('1,2', 'json'): (0, 'fda06b50bc170bda'),
+        ('3,0,1', 'table'): (0, 'ef758dd63ae8f4d3'),
+        ('3,0,1', 'csv'): (0, '2e1620a75f53e360'),
+        ('3,0,1', 'json'): (0, '49595d5c79637a9d'),
     },
     'validate': {
         ('1,1', 'table'): (0, '916d553eebacc023'),
@@ -898,6 +916,20 @@ DIGESTS = {
         ('3,0,1', 'table'): (0, 'a7b82969deaef043'),
         ('3,0,1', 'csv'): (0, 'a7b82969deaef043'),
         ('3,0,1', 'json'): (0, 'ec110ca3197fc0ca'),
+    },
+    'sample_300': {
+        ('1,1', 'table'): (0, '92ab56bcb33c2ef8'),
+        ('1,1', 'csv'): (0, '92ab56bcb33c2ef8'),
+        ('1,1', 'json'): (0, '75a4067878c3c0f0'),
+        ('2,2,0,2', 'table'): (0, '2a2406e37cc61294'),
+        ('2,2,0,2', 'csv'): (0, '2a2406e37cc61294'),
+        ('2,2,0,2', 'json'): (0, 'f14866a37d9b579b'),
+        ('1,2', 'table'): (0, 'a7637e16f10e2ed6'),
+        ('1,2', 'csv'): (0, 'a7637e16f10e2ed6'),
+        ('1,2', 'json'): (0, 'f869a2d4df29b28b'),
+        ('3,0,1', 'table'): (0, 'cc5a68725ee01d00'),
+        ('3,0,1', 'csv'): (0, 'cc5a68725ee01d00'),
+        ('3,0,1', 'json'): (0, 'aa8f0047cab98d59'),
     },
 }
 

@@ -277,9 +277,11 @@ def test_round_trip_small(fixture_spec):
         assert is_legal(fixture_spec, decompose(table, m).coefficients)
 
 
-@given(st.integers(min_value=1, max_value=10**12))
-def test_round_trip_large_random(m):
-    spec = validate_spec((2, 2, 0, 2))
+@given(RANDOM_SPECS, st.integers(min_value=1, max_value=10**450 - 1))
+@example((2, 2, 0, 2), 3**940)  # 450 digits: query_mix's largest decompose
+@example((1, 0, 0, 0, 0, 1), 10**450 - 1)  # interior zeros, a 4,000-digit string
+def test_round_trip_large_random(coeffs, m):
+    spec = validate_spec(coeffs)
     table = SequenceTable(spec)
     d = decompose(table, m)
     assert value(table, d) == m

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from plrs import (
     Block,
@@ -131,6 +131,41 @@ def test_extend_beyond():
     table = SequenceTable(validate_spec((1, 1)))
     assert table.extend_beyond(12) == 5  # H_5 = 8 <= 12 < H_6 = 13
     assert table.extend_beyond(1) == 1
+
+
+def _textbook_terms(c, value):
+    """H_1, H_2, ... straight from the definition, up to the first term
+    above ``value``: every H_{k+1} is c_1 H_k + ... + c_L H_{k+1-L}, with
+    the missing terms of the ramp (k < L) read as 0 and 1 added there."""
+    H = []
+    while not H or H[-1] <= value:
+        k = len(H)
+        total = 0
+        for i in range(min(k, len(c))):
+            total += c[i] * H[k - 1 - i]
+        H.append(total + 1 if k < len(c) else total)
+    return H
+
+
+@given(
+    RANDOM_SPECS,
+    st.integers(min_value=1, max_value=10**450 - 1),
+    st.integers(min_value=0, max_value=12),
+)
+@example((3,), 10**450 - 1, 0)
+@example((1, 0, 0, 0, 0, 1), 10**449, 5)
+def test_table_matches_the_textbook_recurrence(coeffs, v, k):
+    spec = validate_spec(coeffs)
+    H = _textbook_terms(coeffs, v)
+    assert SequenceTable(spec).terms(len(H)) == tuple(H)
+    k = min(k, len(H) - 1)
+    values = [x for x in (1, H[k] - 1, H[k], H[k] + 1, v) if x >= 1]
+    H = _textbook_terms(coeffs, max(values))
+    grown = SequenceTable(spec, len(H))
+    for value in values:
+        n = SequenceTable(spec).extend_beyond(value)
+        assert H[n - 1] <= value < H[n], (value, n)
+        assert grown.extend_beyond(value) == n
 
 
 def test_term_index_errors():
