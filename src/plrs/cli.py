@@ -57,7 +57,7 @@ from .ensemble import (
 )
 from .errors import BoundViolated, CapExceeded, EmptyConditionalEvent, PlrsError
 from .rationals import decimal_str, format_fraction
-from .recurrence import RecurrenceSpec, SequenceTable, block_catalog
+from .recurrence import RecurrenceSpec, _shared_table, block_catalog
 from .theorem import (
     DEFAULT_PRECISION_BITS,
     first_moment_identity,
@@ -295,7 +295,7 @@ def _outcomes(head: dict, key: str, rows: list, footer: tuple[str, ...] = ()) ->
 
 def _cmd_seq(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
-    terms = SequenceTable(spec, cfg.n).terms(cfg.n)
+    terms = _shared_table(spec).terms(cfg.n)
     return 0, Payload(
         data=lambda: {"coefficients": str(spec), "terms": [str(t) for t in terms]},
         header="n,H",
@@ -344,7 +344,7 @@ def _cmd_blocks(cfg: RunConfig) -> tuple[int, Payload]:
 def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.n is not None, "decompose needs a positive integer")
     spec = _spec(cfg)
-    table = SequenceTable(spec)
+    table = _shared_table(spec)
     d = decompose(table, cfg.n)
     blocks = parse_blocks(spec, d)
     m = d.m
@@ -404,7 +404,7 @@ def _cmd_validate(cfg: RunConfig) -> tuple[int, Payload]:
 
 def _cmd_enumerate(cfg: RunConfig) -> tuple[int, Payload]:
     spec = _spec(cfg)
-    table = SequenceTable(spec)
+    table = _shared_table(spec)
     count = table.term(cfg.n + 1) - table.term(cfg.n)
     if count > cfg.cap:
         raise CapExceeded(count, cfg.cap)
@@ -632,7 +632,7 @@ def _cmd_sample(cfg: RunConfig) -> tuple[int, Payload]:
     _require(cfg.seed is not None, "sample needs an explicit --seed")
     _require(cfg.samples >= 1, "--samples must be >= 1")
     spec = _spec(cfg)
-    table = SequenceTable(spec)
+    table = _shared_table(spec)
     rows = [(value(table, d), d) for d in sample_uniform(table, cfg.n, cfg.samples, cfg.seed)]
     head = {"n": cfg.n, "seed": cfg.seed, "samples": cfg.samples}
     return 0, _outcomes(head, "draws", rows)

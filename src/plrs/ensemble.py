@@ -41,7 +41,7 @@ from .errors import (
     PlrsError,
     SizeOutOfRange,
 )
-from .recurrence import RecurrenceSpec, SequenceTable, _runs, block_catalog
+from .recurrence import RecurrenceSpec, SequenceTable, _runs, _shared_table, block_catalog
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -231,6 +231,15 @@ def _require_three_blocks(spec: RecurrenceSpec, n: int) -> None:
         raise IndexTooSmall(f"need n > 2L = {2 * spec.length}, got {n}")
 
 
+def _power_sums(stop: int) -> tuple[int, int, int, int, int]:
+    """``(sum t^0, ..., sum t^4)`` over ``0 <= t < stop``, by Faulhaber's
+    formulas (``0^0 = 1``, so the first is ``stop``)."""
+    n = stop - 1
+    s1 = n * (n + 1) // 2
+    s1_odd = s1 * (2 * n + 1)  # 3 sum t^2, always a multiple of 3
+    return stop, s1, s1_odd // 3, s1 * s1, s1_odd * (3 * n * n + 3 * n - 1) // 15
+
+
 def _by_length(spec: RecurrenceSpec) -> tuple:
     """The power sums of the type-2 sizes of each block length, shortest
     first.
@@ -241,11 +250,12 @@ def _by_length(spec: RecurrenceSpec) -> tuple:
     ``(k + t)^j = sum_i C(j, i) t^(j-i) k^i``, so summed over the sizes of
     one length the raw sums of the shorter tail enter ``A_j`` with weight
     ``C(j, i) * sum_t t^(j-i)``; ``weights`` holds the non-zero ones as
-    ``(j, i, weight)``.
+    ``(j, i, weight)``.  Each run's sums are two closed forms apart,
+    so this costs O(L), not O(S).
     """
     out = []
     for ell, sizes in _runs(spec.coefficients):
-        power = tuple(sum(t**m for t in sizes) for m in range(5))
+        power = tuple(map(sub, _power_sums(sizes.stop), _power_sums(sizes.start)))
         weights = tuple(
             (j, i, comb(j, i) * power[j - i])
             for j in range(5)
@@ -383,7 +393,7 @@ class SummandTable:
         # goes when c_1 = 1.
         runs = [(ell, range(s.start or 1, s.stop)) for ell, s in _runs(c) if s.stop > 1]
         # Q_r(1) = H_{r+1}; only its bit length is kept through the loop.
-        bits = [h.bit_length() for h in SequenceTable(self.spec).terms(n + 1)]
+        bits = [h.bit_length() for h in _shared_table(self.spec).terms(n + 1)]
         tails = [1]  # Q_r(2^B) of the last L lengths r
         for r in range(1, n + 1):
             if bits[r] > B:  # re-slot: pad each slot with zero bytes
@@ -500,7 +510,7 @@ def z_distribution(
     ``cross_check=True`` to force enumeration.
     """
     _require_three_blocks(spec, n)
-    table = table if table is not None else SequenceTable(spec)
+    table = table if table is not None else _shared_table(spec)
     omega = table.term(n + 1) - table.term(n)
     probs, lengths = [], []  # one fraction per block length, shared by its sizes
     for ell, sizes in _runs(spec.coefficients):
@@ -530,7 +540,7 @@ def conditional_tally(
     space holds more than ``cap`` outcomes.
     """
     _require_three_blocks(spec, n)
-    table = SequenceTable(spec)
+    table = _shared_table(spec)
     omega = table.term(n + 1) - table.term(n)
     if omega > cap:
         raise CapExceeded(omega, cap)

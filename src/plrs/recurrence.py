@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from operator import mul
+from threading import Lock
 
 from .errors import (
     DegenerateRecurrence,
@@ -136,16 +137,22 @@ def validate_spec(coefficients) -> RecurrenceSpec:
 class SequenceTable:
     """Cached terms ``H_1, ..., H_n`` of a sequence.
 
-    The table extends itself on demand and never mutates already-computed
-    terms, so concurrent readers are safe once an extension has finished.
-    One growth loop, ``_grow``, serves :meth:`extend` and
-    :meth:`extend_beyond`; past the ramp each term is one C-level dot
-    product of the reversed coefficients with the last L terms.
+    The table extends itself on demand and only ever appends, so a term
+    once read never changes.  ``SequenceTable(spec)`` is a fresh table;
+    the library's own request paths share one table per spec for the
+    whole process instead, so terms grown by one request serve the next.
+    Growth is serialized by a per-table lock, taken only when a call has
+    to append; reads (:meth:`term`, :meth:`terms`, :meth:`weigh` and the
+    bisection of :meth:`extend_beyond`) never wait.  One growth loop,
+    ``_grow``, serves :meth:`extend` and :meth:`extend_beyond`; past the
+    ramp each term is one C-level dot product of the reversed coefficients
+    with the last L terms.
     """
 
     def __init__(self, spec: RecurrenceSpec, n: int = 1):
         self.spec = spec
         self._terms: list[int] = [1]
+        self._lock = Lock()
         self.extend(n)
 
     def extend(self, n: int) -> None:
@@ -154,16 +161,24 @@ class SequenceTable:
 
     def _grow(self, n: int, value: int) -> None:
         """Append terms until the table holds ``H_n`` and its last term
-        exceeds ``value``."""
+        exceeds ``value``.
+
+        A table that already does returns without the lock.  Otherwise the
+        loop runs under it and re-reads the table there, so two growers
+        never append the same term twice.
+        """
+        H = self._terms
+        if len(H) >= n and H[-1] > value:
+            return
         c = self.spec.coefficients
         L = len(c)
-        H = self._terms
-        # the ramp: H_{k+1} = c_1 H_k + ... + c_k H_1 + 1 for k < L
-        while len(H) < L and (len(H) < n or H[-1] <= value):
-            H.append(sum(map(mul, c, reversed(H))) + 1)
-        reversed_c = c[::-1]  # H_{k+1} = c_L H_{k+1-L} + ... + c_1 H_k
-        while len(H) < n or H[-1] <= value:
-            H.append(sum(map(mul, reversed_c, H[-L:])))
+        with self._lock:
+            # the ramp: H_{k+1} = c_1 H_k + ... + c_k H_1 + 1 for k < L
+            while len(H) < L and (len(H) < n or H[-1] <= value):
+                H.append(sum(map(mul, c, reversed(H))) + 1)
+            reversed_c = c[::-1]  # H_{k+1} = c_L H_{k+1-L} + ... + c_1 H_k
+            while len(H) < n or H[-1] <= value:
+                H.append(sum(map(mul, reversed_c, H[-L:])))
 
     def term(self, i: int) -> int:
         """Return ``H_i`` (1-indexed), extending the cache if needed."""
@@ -298,3 +313,10 @@ def block_catalog(spec: RecurrenceSpec) -> BlockCatalog:
     )
     lengths = tuple(s for s, sizes in runs for _ in sizes)
     return BlockCatalog(spec, type1, type2, lengths)
+
+
+@cache
+def _shared_table(spec: RecurrenceSpec) -> SequenceTable:
+    """The process-wide term table of the spec, grown by every caller.
+    Cached per spec, like :func:`block_catalog`."""
+    return SequenceTable(spec)

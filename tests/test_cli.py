@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -937,6 +938,52 @@ DIGESTS = {
 @pytest.mark.parametrize("command", sorted(DIGEST_COMMANDS))
 def test_payload_bytes_unchanged(command):
     assert command_digests(command) == DIGESTS[command]
+
+
+def _silent_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def test_grown_term_tables_change_no_payload():
+    # Requests share one term table per spec: grow each fixture's table far
+    # past every pinned command first, then replay the pinned commands in a
+    # shuffled order against the same digests.
+    for coeffs in DIGEST_FIXTURES:
+        assert _silent_main(["--coeffs", coeffs, "decompose", str(3**2000)]) == 0
+        assert _silent_main(["--coeffs", coeffs, "seq", "3000"]) == 0
+    commands = sorted(DIGEST_COMMANDS)
+    random.Random(2016).shuffle(commands)
+    for command in commands:
+        assert command_digests(command) == DIGESTS[command], command
+
+
+def test_requests_build_one_term_table_per_spec(monkeypatch):
+    # Each request used to grow its own table from H_1; now a stream of
+    # requests on one spec builds at most its shared table.
+    import plrs.recurrence
+
+    built = []
+    init = plrs.recurrence.SequenceTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(plrs.recurrence.SequenceTable, "__init__", counting_init)
+    requests = [
+        ["seq", "40"], ["decompose", "1000"], ["decompose", str(7**300)],
+        ["sample", "30", "--samples", "5", "--seed", "7"], ["enumerate", "7"],
+        ["poly", "25"], ["zdist", "9"], ["--cap", "3", "zdist", "10"],
+        ["identities", "9"], ["sample", "120", "--samples", "3", "--seed", "1"],
+    ]
+    for fmt in DIGEST_FORMATS:
+        for args in requests:
+            assert _silent_main(["--coeffs", "2,1,3", "--format", fmt, *args]) == 0
+    assert len(built) <= 1, built
+    shared = plrs.recurrence._shared_table
+    spec = validate_spec((2, 1, 3))
+    assert shared(spec) is shared(validate_spec([2, 1, 3])) is not shared(validate_spec((1, 1)))
 
 
 # sha256 prefixes of `--format json verify --n-max 400`, recorded before the

@@ -425,6 +425,19 @@ def test_removal_rows_read_no_moment_row(fixture_spec):
     assert [r for *_, r in rows] == [400 - ell for ell, _, _ in engine._by_length]
 
 
+@given(RANDOM_SPECS)
+@example((10**6,))
+def test_run_power_sums_match_the_sizes(coeffs):
+    # The closed forms per run against sum t^m over every size t of the
+    # run; on base 10^6 the size-by-size sums were the whole cost of a
+    # SummandTable.
+    by_length = plrs.ensemble._by_length(validate_spec(coeffs))
+    assert [ell for ell, _, _ in by_length] == [s for s, a in enumerate(coeffs, 1) if a]
+    for ell, power, _ in by_length:
+        sizes = range(sum(coeffs[: ell - 1]), sum(coeffs[:ell]))
+        assert power == tuple(sum(t**m for t in sizes) for m in range(5)), ell
+
+
 def _no_block_catalog(spec):
     raise AssertionError(f"the block catalog of {spec} was built")
 
@@ -472,7 +485,11 @@ def test_histogram_steps_once_per_run_of_sizes():
 
 def test_a_table_keeps_nothing_after_a_histogram(fixture_spec):
     # Keeping the last L packed tails between calls retained 36-492 KB here.
+    # The histogram reads H_1..H_617 from the process-wide term table, which
+    # keeps them for later requests by design; grow it first, so only what
+    # the SummandTable keeps is measured.
     engine = SummandTable(fixture_spec)
+    plrs.recurrence._shared_table(fixture_spec).extend(617)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

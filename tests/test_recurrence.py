@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -166,6 +169,45 @@ def test_table_matches_the_textbook_recurrence(coeffs, v, k):
         n = SequenceTable(spec).extend_beyond(value)
         assert H[n - 1] <= value < H[n], (value, n)
         assert grown.extend_beyond(value) == n
+
+
+def test_concurrent_growth_appends_each_term_once(fixture_spec):
+    # Four threads grow one table at once, two by index and two past a
+    # value, with the interpreter switching threads every microsecond.
+    # Two growers appending from the same last L terms would put a term
+    # in twice and shift every later one.
+    coeffs = fixture_spec.coefficients
+    H = _textbook_terms(coeffs, 10**900)
+    targets = [
+        ("extend", len(H) // 2), ("extend_beyond", H[len(H) // 3] + 1),
+        ("extend", len(H) - 1), ("extend_beyond", 10**900),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = SequenceTable(fixture_spec)
+            start = threading.Barrier(len(targets))
+            found = {}
+
+            def grow(i, method, arg):
+                start.wait(timeout=60)
+                found[i] = getattr(table, method)(arg)
+
+            threads = [
+                threading.Thread(target=grow, args=(i, *target))
+                for i, target in enumerate(targets)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert table.terms(len(H)) == tuple(H)
+            assert table.extend_beyond(10**900) == len(H) - 1
+            assert found[1] == len(H) // 3 + 1 and found[3] == len(H) - 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_term_index_errors():
