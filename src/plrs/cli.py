@@ -280,12 +280,12 @@ def _outcomes(head: dict, key: str, rows: list, footer: tuple[str, ...] = ()) ->
         data=lambda: {
             **head,
             key: [
-                {"value": str(v), "summands": d.summand_count, "coefficients": d.to_text()}
+                {"value": str(v), "summands": d.summand_count, "coefficients": str(d)}
                 for v, d in rows
             ],
         },
         header="index,value,summands,coefficients",
-        rows=lambda: ((i, v, d.summand_count, d.to_text()) for i, (v, d) in enumerate(rows)),
+        rows=lambda: ((i, v, d.summand_count, str(d)) for i, (v, d) in enumerate(rows)),
         footer=footer,
     )
 
@@ -360,7 +360,7 @@ def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
         return [
             f"{cfg.n} = {summed}",
             f"indices: {','.join(map(str, indices))}",
-            f"coefficients: {d.to_text()}",
+            f"coefficients: {d}",
             f"blocks: {blocks}",
             f"summands: {d.summand_count}",
         ]
@@ -374,7 +374,7 @@ def _cmd_decompose(cfg: RunConfig) -> tuple[int, Payload]:
             "summands": d.summand_count,
         },
         header="value,summands,coefficients,blocks",
-        rows=lambda: [(cfg.n, d.summand_count, d.to_text(), blocks)],
+        rows=lambda: [(cfg.n, d.summand_count, str(d), blocks)],
         text=text,
     )
 
@@ -408,7 +408,8 @@ def _cmd_enumerate(cfg: RunConfig) -> tuple[int, Payload]:
     count = table.term(cfg.n + 1) - table.term(cfg.n)
     if count > cfg.cap:
         raise CapExceeded(count, cfg.cap)
-    rows = [(value(table, d), d) for d in enumerate_omega(spec, cfg.n)]
+    # The walk yields the outcomes in increasing value: the k-th is worth H_n + k.
+    rows = list(enumerate(enumerate_omega(spec, cfg.n), start=table.term(cfg.n)))
     head = {"n": cfg.n, "cardinality": str(count)}
     return 0, _outcomes(head, "outcomes", rows, (f"cardinality: {count}",))
 

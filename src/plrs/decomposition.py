@@ -33,12 +33,12 @@ integer to the next that way.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from itertools import accumulate
 from operator import length_hint
 
 from .errors import (
     IllegalDecomposition,
     NonPositiveInput,
+    PlrsError,
     SizeOutOfRange,
     SpecMismatch,
     TooFewBlocks,
@@ -197,8 +197,9 @@ class Decomposition:
     blocks.  Any iterable is stored as a tuple.  Decompositions of positive
     integers always start with a positive coefficient; block insertion in
     front of a single-block string can produce a *padded* string with a
-    leading size-0 block, in which case ``is_proper`` is False.  Pass
-    ``require_proper=False`` to build one.
+    leading size-0 block, whose leading coefficient is 0.  Pass
+    ``require_proper=False`` to build one.  ``str(d)`` is the space-separated
+    coefficients, most significant first.
     """
 
     spec: RecurrenceSpec
@@ -234,17 +235,8 @@ class Decomposition:
         """Total number of summands, the coefficient sum."""
         return sum(self.coefficients)
 
-    @property
-    def is_proper(self) -> bool:
-        """True when the leading coefficient is positive."""
-        return self.coefficients[0] >= 1
-
-    def to_text(self) -> str:
-        """Space-separated coefficients, most significant first."""
-        return " ".join(map(str, self.coefficients))
-
     def __str__(self) -> str:
-        return self.to_text()
+        return " ".join(map(str, self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -252,13 +244,6 @@ class BlockParse:
     """Ordered blocks partitioning a coefficient string left to right."""
 
     blocks: tuple[Block, ...]
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for b in self.blocks:
-            out.extend(b.coefficients)
-        return tuple(out)
 
     def __str__(self) -> str:
         return "".join(map(str, self.blocks))
@@ -277,7 +262,9 @@ def _greedy(
     of the digits before it, so that a later call can resume at any of them.
     A position whose weight exceeds the remainder takes a zero digit with
     one comparison and no big-int arithmetic; it continues the block where
-    ``c_j = 0`` and closes it elsewhere.
+    ``c_j = 0`` and closes it elsewhere.  Raises :class:`PlrsError` when
+    the digits are not worth ``m``: the legal tails of length r cover
+    ``[0, H_{r+1})`` exactly, so that takes weights that are not the terms.
     """
     rem = m - prefix
     for w in weights[len(digits):]:
@@ -295,7 +282,8 @@ def _greedy(
                 j = 0
             rem -= a * w
         digits.append(a)
-    assert rem == 0  # the legal length-r tails cover [0, H_{r+1}) exactly
+    if rem:
+        raise PlrsError(f"greedy digits fall short of their integer by {rem}")
 
 
 def decompose(table: SequenceTable, m: int) -> Decomposition:
@@ -306,10 +294,12 @@ def decompose(table: SequenceTable, m: int) -> Decomposition:
     digit equal to ``c_j`` continues the block, a smaller one closes it.
     (Uncapped greedy writes 8 = H_4 + H_3 for ``1,0,2``, which is not
     legal.)  The result round-trips through :func:`value` and passes
-    :func:`is_legal`; the table grows on demand.
+    :func:`is_legal`; the table grows on demand.  ``m`` must be an ``int``
+    (a ``bool`` counts as one, as in the integer-entry rule); anything
+    else, like a value below 1, raises :class:`NonPositiveInput`.
     """
-    if m < 1:
-        raise NonPositiveInput(f"no decomposition for {m}; need a positive integer")
+    if not isinstance(m, int) or m < 1:
+        raise NonPositiveInput(f"no decomposition for {m!r}; need a positive integer")
     digits: list[int] = []
     weights = table.terms(table.extend_beyond(m))[::-1]
     _greedy(weights, table.spec.coefficients, m, digits)
@@ -334,11 +324,10 @@ def parse_blocks(spec: RecurrenceSpec, d: Decomposition) -> BlockParse:
     size ``sigma_{l-1} + a`` (``sigma_r = c_1 + ... + c_r``, a its last
     digit), a type-1 block the one of its length.
     """
-    c = spec.coefficients
+    c, sigma = spec.coefficients, spec._sigma
     a = d.coefficients
     catalog = block_catalog(spec)
     type2 = catalog.type2_by_size
-    sigma = (0, *accumulate(c))
     blocks = []
     end = 0
     for length in _decomposition_lengths(spec, d):

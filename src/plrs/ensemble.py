@@ -25,6 +25,7 @@ Counts are exact integers, probabilities and moments exact rationals.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,8 +41,9 @@ from .errors import (
     IndexTooSmall,
     PlrsError,
     SizeOutOfRange,
+    SpecMismatch,
 )
-from .recurrence import RecurrenceSpec, SequenceTable, _runs, _shared_table, block_catalog
+from .recurrence import RecurrenceSpec, SequenceTable, _shared_table, block_catalog
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -73,8 +75,13 @@ def enumerate_omega(spec: RecurrenceSpec, n: int) -> Iterator[Decomposition]:
 
     Order is lexicographic in the sequence of block sizes; when a closing
     type-1 block ties with a type-2 block of equal size, the type-1 string
-    comes first because it is the shorter size sequence.  Intended for small
-    n; the yield count is ``H_{n+1} - H_n``.
+    comes first because it is the shorter size sequence.  That order is
+    increasing value: it is lexicographic in the digits, and legal strings
+    of one length compare by their first differing digit, so the k-th
+    string yielded (from 0) is the decomposition of ``H_n + k``;
+    ``test_enumerators_agree_on_random_specs`` pins the order against
+    :func:`enumerate_by_integer_walk`.  Intended for small n; the yield
+    count is ``H_{n+1} - H_n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -89,19 +96,18 @@ def _walk(spec: RecurrenceSpec, n: int) -> Iterator[tuple[tuple[int, ...], int |
     ``z`` is the size of the second-to-last block, the block appended just
     before the last one, or None for a single-block string.
     """
-    c, L = spec.coefficients, spec.length
+    c, sigma = spec.coefficients, spec._sigma
     type2 = block_catalog(spec).type2_by_size
     pairs = [(block.coefficients, t) for t, block in enumerate(type2)]
 
     # The walk order of every rest length r, built once per call.  For
     # r >= L every pair fits, and the list is shared.  For r < L the type-2
-    # blocks of length at most r are the sizes below s = c_1 + ... + c_r,
-    # the first s pairs, and the type-1 block (c_1, ..., c_r) of size s
+    # blocks of length at most r are the sizes below sigma_r, the first
+    # sigma_r pairs, and the type-1 block (c_1, ..., c_r) of size sigma_r
     # comes after them.
     orders = [None] + [pairs] * n
-    for r in range(1, min(n + 1, L)):
-        s = sum(c[:r])
-        orders[r] = pairs[:s] + [(c[:r], s)]
+    for r in range(1, min(n + 1, spec.length)):
+        orders[r] = pairs[: sigma[r]] + [(c[:r], sigma[r])]
 
     # Depth-first over the block sequence with an explicit stack, so deep
     # strings (a long run of short blocks) never hit the recursion limit.
@@ -254,7 +260,7 @@ def _by_length(spec: RecurrenceSpec) -> tuple:
     so this costs O(L), not O(S).
     """
     out = []
-    for ell, sizes in _runs(spec.coefficients):
+    for ell, sizes in spec._runs:
         power = tuple(map(sub, _power_sums(sizes.stop), _power_sums(sizes.start)))
         weights = tuple(
             (j, i, comb(j, i) * power[j - i])
@@ -378,7 +384,7 @@ class SummandTable:
                 for j, i, w in weights:
                     acc[j] += w * row[i]
             if r < self.spec.length:
-                size = sum(self.spec.coefficients[:r])
+                size = self.spec._sigma[r]
                 acc = [a + size**j for j, a in enumerate(acc)]
             rows.append(tuple(acc))
 
@@ -387,13 +393,13 @@ class SummandTable:
         ``Q_0`` on each call."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        c, B = self.spec.coefficients, _SLOT_STEP
-        L = len(c)
+        spec, B = self.spec, _SLOT_STEP
+        L, sigma = spec.length, spec._sigma
         # Size 0 enters each step as Q_{r-1}: the first run starts at 1, and
         # goes when c_1 = 1.
-        runs = [(ell, range(s.start or 1, s.stop)) for ell, s in _runs(c) if s.stop > 1]
+        runs = [(ell, range(s.start or 1, s.stop)) for ell, s in spec._runs if s.stop > 1]
         # Q_r(1) = H_{r+1}; only its bit length is kept through the loop.
-        bits = [h.bit_length() for h in _shared_table(self.spec).terms(n + 1)]
+        bits = [h.bit_length() for h in _shared_table(spec).terms(n + 1)]
         tails = [1]  # Q_r(2^B) of the last L lengths r
         for r in range(1, n + 1):
             if bits[r] > B:  # re-slot: pad each slot with zero bytes
@@ -409,7 +415,7 @@ class SummandTable:
                     break
                 acc += _spread(tails[-ell], len(sizes), B) << sizes.start * B
             if r < L:
-                acc += 1 << sum(c[:r]) * B
+                acc += 1 << sigma[r] * B
             tails.append(acc)
             del tails[:-L]
         slots = _slots(acc, B)
@@ -507,13 +513,16 @@ def z_distribution(
     With ``cross_check`` unset, the space is also enumerated and tallied
     whenever it has at most ``cap`` outcomes; the tally must reproduce the
     closed form exactly.  Pass ``cross_check=False`` inside large sweeps or
-    ``cross_check=True`` to force enumeration.
+    ``cross_check=True`` to force enumeration.  A ``table`` of another spec
+    raises :class:`SpecMismatch`.
     """
     _require_three_blocks(spec, n)
     table = table if table is not None else _shared_table(spec)
+    if table.spec is not spec and table.spec != spec:
+        raise SpecMismatch(f"table spec {table.spec} does not match spec {spec}")
     omega = table.term(n + 1) - table.term(n)
     probs, lengths = [], []  # one fraction per block length, shared by its sizes
-    for ell, sizes in _runs(spec.coefficients):
+    for ell, sizes in spec._runs:
         prob = Fraction(table.term(n - ell + 1) - table.term(n - ell), omega)
         probs += [prob] * len(sizes)
         lengths += [ell] * len(sizes)
@@ -588,7 +597,7 @@ def conditional_mean_check(
         raise EmptyConditionalEvent(f"no outcome at n={n} has block size {t}")
     lhs = Fraction(tally[t][moment], count)
 
-    r = n - block_catalog(spec).length_of(t)
+    r = n - bisect_right(spec._sigma, t)  # len(t): the least l with sigma_l > t
     if moment == 1:
         rhs = engine.mean(r) + t
     else:

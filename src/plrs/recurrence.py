@@ -27,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from itertools import accumulate
 from operator import mul
 from threading import Lock
 
@@ -69,7 +70,30 @@ class RecurrenceSpec:
     @property
     def size(self) -> int:
         """Sum of the coefficients S."""
-        return sum(self.coefficients)
+        return self._sigma[-1]
+
+    @cached_property
+    def _sigma(self) -> tuple[int, ...]:
+        """The prefix sums ``(sigma_0, ..., sigma_L)``, ``sigma_r = c_1 + ... + c_r``.
+
+        ``sigma_r`` is the size of the type-1 block of length r, and the
+        type-2 block of size t has the least length s with ``sigma_s > t``.
+        Computed on first use and kept, like ``Block._text``; not a field.
+        """
+        return (0, *accumulate(self.coefficients))
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, range], ...]:
+        """The type-2 block sizes by length: ``(s, range(sigma_{s-1}, sigma_s))``
+        for each length s with ``c_s > 0``, shortest first.
+
+        The block ``(c_1, ..., c_{s-1}, a)`` has size ``sigma_{s-1} + a`` for
+        ``0 <= a < c_s``; together the runs cover ``0 <= t < S`` once, in
+        increasing order.
+        """
+        sigma = self._sigma
+        sizes = (range(lo, hi) for lo, hi in zip(sigma, sigma[1:]))
+        return tuple((s, run) for s, run in enumerate(sizes, start=1) if run)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.coefficients))
@@ -273,36 +297,18 @@ class BlockCatalog:
         return self.length_table[t]
 
 
-def _runs(coefficients: tuple[int, ...]) -> tuple[tuple[int, range], ...]:
-    """The type-2 block sizes by length: ``(s, range(sigma_{s-1}, sigma_s))``
-    for each length s with ``c_s > 0``, shortest first.
-
-    The block ``(c_1, ..., c_{s-1}, a)`` has size ``sigma_{s-1} + a`` for
-    ``0 <= a < c_s``, with ``sigma_s = c_1 + ... + c_s``; together the runs
-    cover ``0 <= t < S`` once, in increasing order.
-    """
-    runs = []
-    total = 0
-    for s, cs in enumerate(coefficients, start=1):
-        if cs:
-            runs.append((s, range(total, total + cs)))
-        total += cs
-    return tuple(runs)
-
-
 @cache
 def block_catalog(spec: RecurrenceSpec) -> BlockCatalog:
     """Enumerate every block of the spec.  Cached per spec.
 
     The type-2 blocks and the size-to-length table are built run by run
-    from ``_runs``: the run of length s holds the blocks
+    from the spec's ``_runs``: the run of length s holds the blocks
     ``(c_1, ..., c_{s-1}, a)`` for ``a = 0, ..., c_s - 1``.  A length with
     ``c_s = 0`` has no run, since nothing is strictly below zero, which is
     why e.g. a zero in the middle of the coefficients is always copied
     verbatim.
     """
-    c = spec.coefficients
-    runs = _runs(c)
+    c, runs = spec.coefficients, spec._runs
     type1 = tuple(
         Block(BlockKind.TYPE1, c[:m]) for m in range(1, spec.length)
     )

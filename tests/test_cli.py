@@ -958,6 +958,20 @@ def test_grown_term_tables_change_no_payload():
         assert command_digests(command) == DIGESTS[command], command
 
 
+def test_enumerate_weighs_no_outcome(monkeypatch):
+    # The grammar walk yields the outcomes in increasing value, so the k-th
+    # is worth H_n + k; enumerate no longer weighs each one with value().
+    import plrs.cli
+    import plrs.decomposition
+
+    def refuse(*args):
+        raise AssertionError("enumerate weighed an outcome")
+
+    monkeypatch.setattr(plrs.cli, "value", refuse)
+    monkeypatch.setattr(plrs.decomposition, "value", refuse)
+    assert command_digests("enumerate") == DIGESTS["enumerate"]
+
+
 def test_requests_build_one_term_table_per_spec(monkeypatch):
     # Each request used to grow its own table from H_1; now a stream of
     # requests on one spec builds at most its shared table.

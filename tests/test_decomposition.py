@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,6 +11,7 @@ from plrs import (
     Decomposition,
     IllegalDecomposition,
     NonPositiveInput,
+    PlrsError,
     SequenceTable,
     SizeOutOfRange,
     SpecMismatch,
@@ -23,7 +28,7 @@ from plrs import (
     value,
 )
 
-from plrs.decomposition import LegalityResult
+from plrs.decomposition import LegalityResult, _greedy
 
 from conftest import FIXTURE_COEFFS, RANDOM_SPECS
 
@@ -267,6 +272,48 @@ def test_decompose_rejects_non_positive(fib):
             decompose(table, m)
 
 
+def test_decompose_rejects_non_integers(fib):
+    # 2.5 tripped a bare assert, or under -O decomposed 2; "7" raised a raw
+    # TypeError; 1e30 decomposed 1000000000000000019884624838656.
+    table = SequenceTable(fib)
+    for m in (2.5, 7.9, 1e30, 7.0, "7", None, False):
+        with pytest.raises(NonPositiveInput):
+            decompose(table, m)
+    assert decompose(table, True).coefficients == (1,)  # a bool counts as an int
+
+
+def test_greedy_checks_the_digits_are_worth_their_integer():
+    # Weights that are not the terms leave a remainder; the check is no assert.
+    with pytest.raises(PlrsError, match="fall short of their integer by 1"):
+        _greedy((2,), (1, 1), 3, [])
+
+
+def test_integer_checks_hold_under_optimization():
+    # python -O strips asserts; both checks must still raise.
+    script = """if True:
+        from plrs import NonPositiveInput, PlrsError, SequenceTable, validate_spec
+        from plrs.decomposition import _greedy, decompose
+        table = SequenceTable(validate_spec((1, 1)))
+        for m in (2.5, 7.9):
+            try:
+                decompose(table, m)
+            except NonPositiveInput:
+                pass
+            else:
+                raise SystemExit(f"decompose({m}) returned")
+        try:
+            _greedy((2,), (1, 1), 3, [])
+        except PlrsError:
+            print("ok")
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
 def test_round_trip_small(fixture_spec):
     table = SequenceTable(fixture_spec)
     for m in range(1, 10_001):
@@ -367,7 +414,7 @@ def test_parse_contracts_over_enumeration(fixture_spec):
     for n in range(1, 9):
         for d in enumerate_omega(fixture_spec, n):
             parse = parse_blocks(fixture_spec, d)
-            assert parse.coefficients == d.coefficients
+            assert sum((b.coefficients for b in parse.blocks), ()) == d.coefficients
             kinds = [b.kind for b in parse.blocks]
             assert all(k is BlockKind.TYPE2 for k in kinds[:-1])
             # the streaming size accessor agrees with the full parse
@@ -412,7 +459,7 @@ def test_illegal_construction_raises(fib):
 
 def test_text_round_trip(fib):
     d = Decomposition(fib, (1, 0, 1, 0, 1))
-    assert d.to_text() == "1 0 1 0 1"
+    assert str(d) == "1 0 1 0 1"
 
 
 # -- block surgery -------------------------------------------------------------
@@ -450,7 +497,7 @@ def test_insert_goldens(fib, h2202):
 
     padded = insert_block_before_last(fib, Decomposition(fib, (1,)), 0)
     assert padded.coefficients == (0, 1)
-    assert padded.m == 2 and not padded.is_proper
+    assert padded.m == 2 and not padded.coefficients[0] >= 1
 
     d6 = Decomposition(h2202, (1, 0, 0, 2, 0, 1))
     assert insert_block_before_last(h2202, d6, 0).coefficients == (1, 0, 0, 2, 0, 0, 1)

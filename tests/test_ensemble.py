@@ -15,6 +15,7 @@ from plrs import (
     IndexTooSmall,
     SequenceTable,
     SizeOutOfRange,
+    SpecMismatch,
     SummandPolynomial,
     SummandTable,
     block_catalog,
@@ -446,27 +447,35 @@ def _no_block_catalog(spec):
     "coeffs", [*FIXTURE_COEFFS, (1, 99999)], ids=lambda c: ",".join(map(str, c))
 )
 def test_statistics_build_no_block_catalog(coeffs, monkeypatch):
-    # The moment engine and the closed-form z-distribution read the size
-    # runs, never a per-size block: on (1, 99999), S = 10^5, the catalog
-    # made 10^5 blocks per table.  Each module that holds the name gets the
-    # raising stand-in.
+    # The moment engine, the closed-form z-distribution and the conditional
+    # check read the size runs, never a per-size block: on (1, 99999),
+    # S = 10^5, the catalog made 10^5 blocks per table.  Each module that
+    # holds the name gets the raising stand-in.  The tally walks the grammar,
+    # so it is taken first, at the least index with a second-to-last block,
+    # where the space is small enough to walk.
+    spec = validate_spec(coeffs)
+    n, first = 2 * spec.length + 11, 2 * spec.length + 1
+    small = spec.size < 10
+    tally = conditional_tally(spec, first) if small else None
     for name, module in list(sys.modules.items()):
         if name.startswith("plrs") and hasattr(module, "block_catalog"):
             monkeypatch.setattr(module, "block_catalog", _no_block_catalog)
-    spec = validate_spec(coeffs)
     table = SequenceTable(spec)
     engine = SummandTable(spec)
-    n = 2 * spec.length + 11
     assert engine.stats(n).cardinality == table.term(n + 1) - table.term(n)
     assert sum(k for k, *_ in engine.removal_rows(n)) == spec.size
     assert sum(z_distribution(spec, n, table=table, cross_check=False).probs) == 1
-    m = 30 if spec.size < 10 else 1  # P_m of (1, 99999) spans about m * S / 2 slots
+    m = 30 if small else 1  # P_m of (1, 99999) spans about m * S / 2 slots
     assert engine.polynomial(m).total == table.term(m + 1) - table.term(m)
     assert verify_variance_bound(engine, n + 20).all_pass
     assert len(gaussian_diagnostics(engine, [n, n + 1])) == 2
     for identity in (first_moment_identity, second_moment_identity):
         lhs, rhs = identity(engine, n)
         assert lhs == rhs
+    for t in range(spec.size if small else 0):
+        for moment in (1, 2):
+            lhs, rhs = conditional_mean_check(engine, first, t, tally=tally, moment=moment)
+            assert lhs == rhs, (t, moment)
 
 
 def test_histogram_steps_once_per_run_of_sizes():
@@ -579,6 +588,16 @@ def test_z_distribution_bijection_cardinality(fixture_spec):
     for t, count in enumerate(zd.empirical_counts):
         shorter = n - zd.lengths[t]
         assert count == table.term(shorter + 1) - table.term(shorter)
+
+
+@pytest.mark.parametrize("cross_check", [None, False])
+def test_z_distribution_refuses_another_specs_table(fib, h2202, cross_check):
+    # Fibonacci's sizes weighed by 2,2,0,2's terms summed to 629/1300, or,
+    # with the cross-check on, failed it as a verification error.
+    with pytest.raises(SpecMismatch):
+        z_distribution(fib, 9, table=SequenceTable(h2202), cross_check=cross_check)
+    equal = SequenceTable(validate_spec((1, 1)))  # an equal spec, not the same object
+    assert sum(z_distribution(fib, 9, table=equal, cross_check=cross_check).probs) == 1
 
 
 def test_z_distribution_index_too_small(fixture_spec):
