@@ -36,7 +36,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -558,7 +557,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, Payload]:
             "threshold_N": report.threshold_N,
             "y_bound": format_fraction(report.y_bound),
             "var_y": {
-                str(n): format_fraction(Fraction(num, den))
+                str(n): f"{num}/{den}" if den != 1 else str(num)
                 for n, (num, den) in sorted(report.y_pairs.items())
             },
             "c": format_fraction(c),

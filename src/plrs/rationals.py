@@ -7,6 +7,7 @@ which ``fractions.Fraction(text)`` parses back.  For human-readable reports,
 significant digits using integer arithmetic only.
 """
 
+import math
 from fractions import Fraction
 
 __all__ = ["format_fraction", "decimal_str", "round_to_bits"]
@@ -31,6 +32,23 @@ def _over(p: int, q: int, g: int) -> Fraction:
     x = object.__new__(Fraction)
     x._numerator, x._denominator = (p, q) if g == 1 else (p // g, q // g)
     return x
+
+
+def _minus(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """``a/b - c/d`` as an integer pair in lowest terms, given both
+    operands in lowest terms with positive denominators.
+
+    Fraction's own subtraction on bare integers: with ``g = gcd(b, d)``
+    the only common factor left in the result divides g, so no gcd runs
+    on the full-size numerator and denominator.
+    """
+    g = math.gcd(b, d)
+    if g == 1:
+        return a * d - b * c, b * d
+    s = b // g
+    t = a * (d // g) - c * s
+    g2 = math.gcd(t, g)
+    return t // g2, s * (d // g2)
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:

@@ -24,16 +24,18 @@ approximation error is the distance between the differenced estimate and
 the true limit slope, reported as ``convergence_gap``.
 
 The checks of the verify chain run on integers.  Each call makes one pass
-over the moment rows up to n_max and builds, once per index m, the triple
-``(T_m, A_1(m), V_m)`` with ``V_m = T_m A_2(m) - A_1(m)^2``, so that
-``Var[K_m] = V_m / T_m^2``.  The Y sweep and the per-index rows read only
-that list.  At each index of the sweep one private helper, which
+over the moment rows up to n_max and builds, once per index m, the entry
+``(T_m, A_1(m), g_m, p_m, q_m)``: ``g_m = gcd(A_1(m), T_m)`` and
+``p_m/q_m = V_m/T_m`` in lowest terms, with ``V_m = T_m A_2(m) - A_1(m)^2``,
+so that ``Var[K_m] = p_m/(q_m T_m)``.  Every common factor of V_m and T_m
+comes from g_m, so no gcd runs on V_m.  The Y sweep and the per-index rows
+read only that list.  At each index of the sweep one private helper, which
 :func:`y_statistics` shares, checks the first removal identity and returns
-Var[Y_n] as an unreduced pair ``(numerator, T_n^2 P)``; the pair is
-compared with ``a^2/(2S)`` by cross-multiplication.  Each row compares
-``Var[K_n] >= c*n`` the same way.  A fraction is reduced only where a
-value is reported: the fields of each row, with one gcd for the mean and
-at most one more for the variance.
+Var[Y_n] as an integer pair in lowest terms, built from the p/q of the
+shorter indices with gcds on numbers of T's size only; the pair is compared
+with ``a^2/(2S)`` by cross-multiplication.  Each row reduces its mean by g_n
+and its variance by ``gcd(p_n, T_n/q_n)``, and compares ``Var[K_n] >= c*n``
+by cross-multiplication too.
 
 Deleting the second-to-last block Z_n (size t, length len(t)) maps the
 outcomes at index n that carry it onto the space at ``n - len(t)`` and
@@ -77,7 +79,7 @@ from .errors import (
     SpecMismatch,
     WindowTooSmall,
 )
-from .rationals import _over, format_fraction, round_to_bits
+from .rationals import _minus, _over, format_fraction, round_to_bits
 from .recurrence import RecurrenceSpec
 
 __all__ = [
@@ -154,13 +156,24 @@ def _require_same_spec(engine: SummandTable, growth: GrowthEstimate) -> None:
         )
 
 
-def _with_v(T: int, A1: int, A2: int) -> tuple[int, int, int]:
-    """``(T, A_1, V)`` with ``V = T A_2 - A_1^2``, so that Var[K] = V/T^2."""
-    return T, A1, T * A2 - A1 * A1
+def _with_v(T: int, A1: int, A2: int) -> tuple[int, int, int, int, int]:
+    """``(T, A_1, g, p, q)`` with ``g = gcd(A_1, T)`` and ``p/q = V/T`` in
+    lowest terms, where ``V = T A_2 - A_1^2``, so that Var[K] = p/(q T).
+
+    The common factor costs no gcd of V: ``gcd(V, T) = gcd(A_1^2, T) =
+    gcd(g^2, T) = g gcd(g, T/g)``, which is 1 when g is, and then p and q
+    are V and T themselves.
+    """
+    g, V = math.gcd(A1, T), T * A2 - A1 * A1
+    if g == 1:
+        return T, A1, g, V, T
+    h = g * math.gcd(g, T // g)
+    return T, A1, g, V // h, T // h
 
 
 def _index_sums(engine: SummandTable, n_max: int) -> list:
-    """``(T_m, A_1(m), V_m)`` at list position m for ``L < m <= n_max``.
+    """The :func:`_with_v` entry ``(T_m, A_1(m), g_m, p_m, q_m)`` at list
+    position m for ``L < m <= n_max``.
 
     One pass over the moment rows; the positions up to L hold None, as
     neither the Y sweep (which reads ``r = n - l >= L + 1``) nor the rows
@@ -173,35 +186,38 @@ def _index_sums(engine: SummandTable, n_max: int) -> list:
 
 
 def _y_variance(n: int, here: tuple, removed) -> tuple[int, int]:
-    """Var[Y_n] as an unreduced integer pair ``(num, T_n^2 P)``.
+    """Var[Y_n] as an integer pair ``(num, den)`` in lowest terms.
 
-    ``here`` is ``(T_n, A_1(n), V_n)``; ``removed`` yields, per block
-    length l, ``(k, s1, (T_r, A_1(r), V_r))`` at ``r = n - l``, with k
-    sizes of length l summing to s1.  One pass over it checks the first
+    ``here`` is the :func:`_with_v` entry at n; ``removed`` yields, per
+    block length l, ``(k, s1, entry)`` with the entry at ``r = n - l`` and
+    k sizes of length l summing to s1.  One pass over it checks the first
     removal identity, ``sum_l k T_r = T_n`` and
     ``sum_l (s1 T_r + k A_1(r)) = A_1(n)``, and raises on a mismatch.  The
-    same pass builds the law of total variance over ``P = prod_l T_r``:
+    same pass builds the law of total variance from each ``V/T = p/q``:
 
         Var[K_n] - sum_t P(Z_n = t) * Var[K_{n-len(t)}]
-        = (V_n P - T_n sum_l k V_r P/T_r) / (T_n^2 P),
+        = (p_n/q_n - sum_l k p_r/q_r) / T_n,
 
-    where the sum over l is kept over the running product of the T_r seen
-    so far, so no division is needed.
+    as ``P(Z_n = t) = T_r/T_n`` and ``Var[K_r] = p_r/(q_r T_r)``.  Each
+    ``k p_r/q_r`` enters in lowest terms, k and q_r divided by their gcd,
+    and the difference x stays in lowest terms after each subtraction,
+    whose gcds run on denominators of T's size; x/T_n then reduces by
+    ``gcd(num(x), T_n)`` alone, as num(x) and den(x) are coprime.
     """
-    Tn, A1n, Vn = here
-    c0 = c1 = within = 0
-    P = 1
-    for k, s1, (Tr, A1, V) in removed:
+    Tn, A1n, _, a, b = here
+    c0 = c1 = 0
+    for k, s1, (Tr, A1, _, p, q) in removed:
         c0 += k * Tr
         c1 += s1 * Tr + k * A1
-        within = within * Tr + k * V * P
-        P *= Tr
+        gk = math.gcd(k, q)
+        a, b = _minus(a, b, p * (k // gk), q // gk)
     if (c0, c1) != (Tn, A1n):
         raise PlrsError(
             f"removal rows at n={n} do not reassemble T_n and A_1(n), so the "
             "mean of the centered block statistic is not f(n)"
         )
-    return Vn * P - Tn * within, Tn * Tn * P
+    g = math.gcd(a, Tn)
+    return a // g, b * (Tn // g)
 
 
 def y_statistics(
@@ -215,18 +231,18 @@ def y_statistics(
     ``f(m) = E[K_m] - a*m - b``.  As ``r + l = n``, its mean is ``f(n)``,
     for any a and b, exactly when the first removal identity holds.  The
     integer helper of the Y sweep checks that identity (a failure raises)
-    and returns the variance, free of a and b, as an unreduced integer
-    pair; here it pairs :meth:`SummandTable.removal_rows` at n with the raw
-    sums of each shorter index, read one index at a time apart from the
-    sweep's one-pass list.  This function reads the mean from the
-    moment row at n as ``E[K_n] - a*n - b`` and reduces the variance to
-    one fraction.
+    and returns the variance, free of a and b, as an integer pair in
+    lowest terms; here it pairs :meth:`SummandTable.removal_rows` at n with
+    the raw sums of each shorter index, read one index at a time apart from
+    the sweep's one-pass list.  This function reads the mean from the
+    moment row at n as ``E[K_n] - a*n - b`` and returns the variance as
+    that pair's Fraction.
     """
     _require_same_spec(engine, growth)
     rows = engine.removal_rows(n)
     removed = ((k, s1, _with_v(*engine._low_sums(r))) for k, s1, _, r in rows)
     num, den = _y_variance(n, _with_v(*engine._low_sums(n)), removed)
-    return engine.mean(n) - growth.a_est * n - growth.b_est, Fraction(num, den)
+    return engine.mean(n) - growth.a_est * n - growth.b_est, _over(num, den, 1)
 
 
 def _threshold(
@@ -236,9 +252,9 @@ def _threshold(
 
     ``sums`` is the :func:`_index_sums` list up to n_max, the only moment
     data the sweep reads; each index pairs it with its
-    :meth:`SummandTable.removal_rows`.  Each Var[Y_n] stays an unreduced pair
-    ``(num, den)``.  With ``a_est = alpha/D``, index n fails when
-    ``num 2S D^2 <= alpha^2 den``.
+    :meth:`SummandTable.removal_rows`.  Each Var[Y_n] is an integer pair
+    ``(num, den)`` in lowest terms.  With ``a_est = alpha/D``, index n fails
+    when ``num 2S D^2 <= alpha^2 den``.
     """
     _require_same_spec(engine, growth)
     L, S, n_max = engine.spec.length, engine.spec.size, len(sums) - 1
@@ -405,9 +421,9 @@ class TheoremReport:
     the constant c, the candidate it came from and every candidate on
     ``choice`` (``value``, ``source``, ``candidates``).  ``threshold_N``,
     ``y_bound`` (a^2/(2S)), ``y_pairs`` (Var[Y_n] over the sweep as
-    unreduced integer pairs), ``slope_C_est``, the per-index rows and the
-    Gaussian rows are the report's own.  Var[Y_n] is held only as those
-    pairs; a reader reduces one with ``Fraction(num, den)``.
+    integer pairs in lowest terms), ``slope_C_est``, the per-index rows and
+    the Gaussian rows are the report's own.  Var[Y_n] is held only as those
+    pairs; a reader takes one as ``Fraction(num, den)``.
     """
 
     growth: GrowthEstimate
@@ -433,7 +449,7 @@ def verify_variance_bound(
 ) -> TheoremReport:
     """Run the whole verification chain up to ``n_max``.
 
-    Estimates growth, builds each index's ``(T_m, A_1(m), V_m)`` once,
+    Estimates growth, builds each index's :func:`_with_v` entry once,
     sweeps the centered block statistic over that list to find the
     threshold N, chooses c, and checks ``Var[K_n] >= c*n`` for every
     ``L < n <= n_max`` by integer cross-multiplication on the same list.
@@ -455,20 +471,20 @@ def verify_variance_bound(
     choice = compute_c(engine, growth, N)
     c = choice.value
 
-    # Each row from the list: Var[K_n] = V/T^2, checked as V c_q >= c_p n T^2.
-    # The mean is reduced by g = gcd(A_1, T).  When g = 1, V/T^2 is already
-    # in lowest terms: a prime dividing T and V = T A_2 - A_1^2 divides A_1.
-    # c*n is reduced by gcd(n, c_q), as c_p and c_q are coprime.
+    # Each row from the list: Var[K_n] = p/(q T) reduces by gcd(p, T/q), as
+    # p and q are coprime, and is checked by cross-multiplication against
+    # c*n, which reduces by gcd(n, c_q), as c_p and c_q are coprime.  The
+    # mean is reduced by g = gcd(A_1, T).
     cp, cq = c.numerator, c.denominator
     per_n = []
     for n in range(L + 1, n_max + 1):
-        T, A1, V = sums[n]
-        T2, g = T * T, math.gcd(A1, T)
-        variance = _over(V, T2, 1 if g == 1 else math.gcd(V, T2))
+        T, A1, g, p, q = sums[n]
+        variance = _over(p, q * T, math.gcd(p, T // q))
+        vp, vq = variance.numerator, variance.denominator
         cn = _over(cp * n, cq, math.gcd(n, cq))
         per_n.append(
             PerIndexVerdict(
-                n, _over(A1, T, g), variance, cn, variance - cn, V * cq >= cp * n * T2
+                n, _over(A1, T, g), variance, cn, variance - cn, vp * cq >= cp * n * vq
             )
         )
 

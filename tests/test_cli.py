@@ -1027,6 +1027,25 @@ def test_verify_json_bytes_at_n_max_400(tmp_path, capsys, coeffs):
     assert target.read_text(encoding="utf-8") + "\n" == out
 
 
+# sha256 prefixes of `--format json verify` at the base sizes of the
+# benchmark's verify_deep workload, recorded before Var[Y_n] and the rows
+# were built from V/T in lowest terms.  The largest var_y entries there
+# span 3,877 bits (`1,1`) and 4,932 bits (`2,2,0,2`).
+VERIFY_DEEP_DIGESTS = {
+    ("1,1", 1400): "fc736ef1166e956b",
+    ("2,2,0,2", 800): "72f609130c065fe0",
+    ("1,2", 1300): "9869558cd77bc552",
+    ("3,0,1", 900): "298ba1593bb64cac",
+}
+
+
+@pytest.mark.parametrize("coeffs, n_max", list(VERIFY_DEEP_DIGESTS))
+def test_verify_json_bytes_at_the_deep_sizes(capsys, coeffs, n_max):
+    args = ("--coeffs", coeffs, "--format", "json", "verify", "--n-max", str(n_max))
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and _digest(out) == VERIFY_DEEP_DIGESTS[coeffs, n_max]
+
+
 # sha256 prefixes of `--format F poly N`, recorded before the tail
 # polynomials were packed into one integer each.  Past N = 200 the
 # coefficients span many machine words and the slots widen several times.

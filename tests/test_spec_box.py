@@ -5,14 +5,17 @@ except ``(1,)``, which ``validate_spec`` rejects as degenerate: 47 specs.
 At n_max 120 the verify chain on each of them ends with the same shape,
 checked exactly on ``Fraction``s: no Y index fails, so N = 2L + 1; c comes
 from the slope term; every base case sits at least 2c (exactly 2c on
-``2``); and Var[Y_n] stays at least 4 times the Y bound (exactly 4 on
-``2`` and ``3``).
+``2``); Var[Y_n] stays at least 4 times the Y bound (exactly 4 on
+``2`` and ``3``); and every Var[Y_n] pair is in lowest terms and equals
+the unreduced route's.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from plrs import SummandTable, validate_spec, verify_variance_bound
+
+from conftest import assert_y_pairs_match_the_unreduced_route
 
 SLOPE_TERM = "a_est^2/(2*S*L)"
 SPEC_BOX = [
@@ -39,3 +42,4 @@ def test_spec_box_verifies_with_room_to_spare():
         least_y = min(Fraction(num, den) for num, den in report.y_pairs.values())
         ratio = least_y / report.y_bound
         assert ratio >= 4 and (ratio == 4) == (coeffs in ((2,), (3,))), coeffs
+        assert_y_pairs_match_the_unreduced_route(report, SummandTable(spec))

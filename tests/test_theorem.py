@@ -32,7 +32,7 @@ from plrs import theorem
 from plrs.errors import BoundViolated
 from plrs.rationals import round_to_bits
 
-from conftest import FIXTURE_COEFFS, RANDOM_SPECS
+from conftest import FIXTURE_COEFFS, RANDOM_SPECS, assert_y_pairs_match_the_unreduced_route
 
 
 # -- growth estimation ----------------------------------------------------------
@@ -167,6 +167,7 @@ def test_integer_sweep_matches_fraction_reference(coeffs):
     y_bound, N, rows = _reference_verify(engine, growth, var_y)
     reduced = {n: Fraction(num, den) for n, (num, den) in report.y_pairs.items()}
     assert (reduced, report.y_bound, report.threshold_N) == (var_y, y_bound, N)
+    assert_y_pairs_match_the_unreduced_route(report, SummandTable(spec))
     assert [
         (r.n, r.mean, r.variance, r.bound, r.margin, r.passed) for r in report.per_n
     ] == rows
@@ -186,6 +187,7 @@ def test_one_pass_chain_matches_the_per_index_path(fixture_spec):
     for n, (num, den) in report.y_pairs.items():
         var_y = y_statistics(oracle, n, report.growth)[1]
         assert _terms(Fraction(num, den)) == _terms(var_y), n
+    assert_y_pairs_match_the_unreduced_route(report, oracle)
     c = report.choice.value
     assert [row.n for row in report.per_n] == list(range(fixture_spec.length + 1, 401))
     for row in report.per_n:
@@ -206,10 +208,52 @@ def test_one_pass_chain_matches_the_per_index_path(fixture_spec):
 @example(12, 5, 7)
 @example(2**40 * 3**5, 7**9, 11)
 def test_a_coprime_mean_leaves_the_variance_reduced(T, A, B):
-    # The rows skip gcd(V, T^2) when gcd(A_1, T) = 1: a prime dividing T and
+    # V/T^2 is in lowest terms when gcd(A_1, T) = 1: a prime dividing T and
     # V = T B - A^2 divides A^2, hence A.
     assume(math.gcd(A, T) == 1)
     assert math.gcd(T * B - A * A, T * T) == 1
+
+
+_WIDE = st.integers(min_value=2**5000, max_value=2**5200)
+
+
+@st.composite
+def _wide_sums(draw):
+    """``(T, A_1, A_2)`` of at least 5,000 bits each.
+
+    T is ``2^i 3^j`` times a cofactor: either i and j in the thousands
+    with a cofactor below 2^64, so that repeated primes make up nearly all
+    of T (as on ``3,0,1``, where g holds nearly all of T), or small i and
+    j with a wide cofactor.  A_1 is ``2^i' 3^j'`` times a wide integer,
+    with i' and j' from 0 to twice T's exponents, so that g^2 falls short
+    of, meets or passes T's power of 2 and of 3.
+    """
+    smooth = draw(st.booleans())
+    i = draw(st.integers(2500, 4000) if smooth else st.integers(0, 64))
+    j = draw(st.integers(1600, 2500) if smooth else st.integers(0, 64))
+    T = 2**i * 3**j * draw(st.integers(1, 2**64) if smooth else _WIDE)
+    i1, j1 = draw(st.integers(0, 2 * i)), draw(st.integers(0, 2 * j))
+    return T, 2**i1 * 3**j1 * draw(_WIDE), draw(_WIDE)
+
+
+@given(_wide_sums())
+def test_v_shares_with_t_the_square_of_the_mean_gcd(sums):
+    # gcd(T A_2 - A_1^2, T) = gcd(A_1^2, T) = gcd(g^2, T) with g = gcd(A_1, T),
+    # so each index reduces V/T with no gcd of V.
+    T, A1, A2 = sums
+    V, g = T * A2 - A1 * A1, math.gcd(A1, T)
+    assert math.gcd(V, T) == math.gcd(g * g, T)
+    reduced = Fraction(V, T)
+    assert theorem._with_v(T, A1, A2) == (T, A1, g, *_terms(reduced))
+
+
+@given(_wide_sums())
+def test_the_row_variance_reduces_by_gcd_of_p_and_t_over_q(sums):
+    # For p/q = V/T in lowest terms, Var[K] = p/(q T) and
+    # gcd(p, q T) = gcd(p, T/q), as p and q are coprime.
+    T, A1, A2 = sums
+    p, q = _terms(Fraction(T * A2 - A1 * A1, T))
+    assert math.gcd(p, q * T) == math.gcd(p, T // q)
 
 
 def test_find_threshold_small(fixture_spec):
@@ -433,6 +477,7 @@ def test_report_holds_var_y_only_as_integer_pairs(h2202):
     assert list(report.y_pairs) == list(range(2 * h2202.length + 1, 401))
     for num, den in report.y_pairs.values():
         assert type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1
 
 
 def test_verify_all_fixture_specs_pass():
